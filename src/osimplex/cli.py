@@ -4,7 +4,8 @@ cell enumeration, atom listing and basis verification.
 Inputs are given as argument strings; an argument of "-" reads standard
 input and "@path" reads the named file.  Inputs starting with "{" are parsed
 as JSON.  Exit codes: 0 success (and membership holds), 1 negative verdict,
-2 parse error, 3 precondition failure, 4 resource bound exceeded.
+2 parse error, 3 precondition failure, 4 resource bound exceeded (including
+input nested too deeply to parse or evaluate).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     OsimplexError,
     ParseError,
     PreconditionError,
+    json_int,
 )
 from .nu import Cell, atom, enumerate_cells
 from .oriental import check_membership, eval_expr, expr_from_json, factorize, parse_expr
@@ -60,7 +62,8 @@ def _load_expression(arg, n):
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", exc.pos) from exc
         if "expr" in data:
-            n = data.get("n", n)
+            if "n" in data:
+                n = json_int(data["n"], "n")
             data = data["expr"]
         if n is None:
             raise ParseError("expression input needs a codomain (--n or an 'n' field)")
@@ -243,6 +246,9 @@ def main(argv=None):
         return 2
     except EnumerationLimitError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("resource bound: input nested too deeply", file=sys.stderr)
         return 4
     except (PreconditionError, ArityError, IndexError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

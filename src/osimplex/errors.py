@@ -1,4 +1,5 @@
-"""Exception types shared across the library and the command line tool."""
+"""Exception types shared across the library and the command line tool, and
+the integer check for JSON input that raises them."""
 
 
 class OsimplexError(Exception):
@@ -47,3 +48,11 @@ class CellConditionError(PreconditionError):
 
 class EnumerationLimitError(OsimplexError, RuntimeError):
     """A bounded search exceeded its configured resource limit."""
+
+
+def json_int(value, what):
+    """An integer field of JSON input.  Booleans, floats and strings are
+    rejected rather than cut down to an integer."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value

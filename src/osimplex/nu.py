@@ -21,6 +21,7 @@ from .errors import (
     NotComposableError,
     ParseError,
     PreconditionError,
+    json_int,
 )
 from .oriental import check_membership
 
@@ -171,7 +172,7 @@ class Cell:
     @classmethod
     def from_json(cls, data):
         try:
-            n = int(data["n"])
+            n = json_int(data["n"], "n")
             pairs = []
             for q, level in enumerate(data["pairs"]):
                 pairs.append(
@@ -179,7 +180,13 @@ class Cell:
                         Chain(
                             q,
                             n,
-                            [(tuple(t["basis"]), int(t["coef"])) for t in level[side]],
+                            [
+                                (
+                                    tuple(json_int(v, "basis vertex") for v in t["basis"]),
+                                    json_int(t["coef"], "coef"),
+                                )
+                                for t in level[side]
+                            ],
                         )
                         for side in ("neg", "pos")
                     )

@@ -19,6 +19,7 @@ from .errors import (
     NotComposableError,
     ParseError,
     PreconditionError,
+    json_int,
 )
 from .simplex import MonotoneMap, enumerate_injective_into, face_generator
 from .zdelta import ZMorphism
@@ -133,14 +134,9 @@ def first_last(x):
     """
     if x.is_zero():
         raise PreconditionError("the zero combination is not an oriental morphism")
-    m = x.domain
-    at_start = x.compose(ZMorphism.generator(MonotoneMap((0,), m)))
-    at_end = x.compose(ZMorphism.generator(MonotoneMap((m,), m)))
     vertices = x.vertices()
     s, t = min(vertices), max(vertices)
-    expected_s = ZMorphism.generator(MonotoneMap((s,), x.codomain))
-    expected_t = ZMorphism.generator(MonotoneMap((t,), x.codomain))
-    if at_start != expected_s or at_end != expected_t:
+    if _vertex_image(x, 0) != {s: 1} or _vertex_image(x, -1) != {t: 1}:
         raise PreconditionError(
             "composites with the end vertices are not single unit terms; "
             "not an oriental morphism"
@@ -169,11 +165,12 @@ def _append_vertex(x, t):
     return ZMorphism(x.domain + 1, x.codomain, items)
 
 
-def _last_vertex_image(x):
-    """The composite of x with the last vertex inclusion, as a dict v -> coef."""
+def _vertex_image(x, k):
+    """The composite of x with the inclusion of its first (k=0) or last
+    (k=-1) vertex, as a dict v -> coef."""
     out = {}
     for f, c in x.terms.items():
-        v = f.values[-1]
+        v = f.values[k]
         out[v] = out.get(v, 0) + c
         if not out[v]:
             del out[v]
@@ -184,7 +181,7 @@ def _check_split_input(r, t, x, terms_ok, describe):
     m = x.domain
     if not 0 <= r <= m - 2:
         raise PreconditionError(f"split index {r} out of range for domain {m}")
-    if _last_vertex_image(x) != {t: 1}:
+    if _vertex_image(x, -1) != {t: 1}:
         raise PreconditionError(
             f"the composite with the last vertex must be the single term ({t})"
         )
@@ -239,7 +236,7 @@ def split_middle(t, x):
     m = x.domain
     if m <= 0:
         raise PreconditionError("the middle split needs domain at least 1")
-    if _last_vertex_image(x) != {t: 1}:
+    if _vertex_image(x, -1) != {t: 1}:
         raise PreconditionError(
             f"the composite with the last vertex must be the single term ({t})"
         )
@@ -272,10 +269,21 @@ def split_finish(r, t, x):
 
 
 class Expr:
-    """Base class of factorization expression trees."""
+    """Base class of factorization expression trees.
+
+    Trees may share subtrees.  A node caches its value the first time it is
+    evaluated, so evaluating a tree costs one combine per distinct node.
+    """
+
+    _value = None
 
     def evaluate(self):
         return self._evaluate(())
+
+    def _evaluate(self, path):
+        if self._value is None:
+            self._value = self._compute(path)
+        return self._value
 
     def to_json(self):
         raise NotImplementedError
@@ -299,7 +307,7 @@ class Leaf(Expr):
     def _key(self):
         return ("leaf", self.map)
 
-    def _evaluate(self, path):
+    def _compute(self, path):
         return ZMorphism.generator(self.map)
 
     def __str__(self):
@@ -321,7 +329,7 @@ class _Node(Expr):
     def _key(self):
         return (self.tag, self.index, self.left, self.right)
 
-    def _evaluate(self, path):
+    def _compute(self, path):
         lv = self.left._evaluate(path + ("left",))
         rv = self.right._evaluate(path + ("right",))
         try:
@@ -371,7 +379,7 @@ class ComposeMap(Expr):
     def _key(self):
         return ("compose", self.inner, self.map)
 
-    def _evaluate(self, path):
+    def _compute(self, path):
         value = self.inner._evaluate(path + ("inner",))
         try:
             return value.compose(ZMorphism.generator(self.map))
@@ -396,22 +404,26 @@ def expr_from_json(data, n):
     try:
         op = data["op"]
         if op == "map":
-            return Leaf(MonotoneMap(tuple(data["values"]), n))
+            return Leaf(_map_from_json(data, n))
         if op in ("filler", "pasting"):
             cls = Filler if op == "filler" else Pasting
             return cls(
-                int(data["index"]),
+                json_int(data["index"], "index"),
                 expr_from_json(data["left"], n),
                 expr_from_json(data["right"], n),
             )
         if op == "compose":
             return ComposeMap(
                 expr_from_json(data["inner"], n),
-                MonotoneMap(tuple(data["values"]), n),
+                _map_from_json(data, n),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad expression object: {exc}") from exc
     raise ParseError(f"unknown expression op {op!r}")
+
+
+def _map_from_json(data, n):
+    return MonotoneMap(tuple(json_int(v, "map value") for v in data["values"]), n)
 
 
 def parse_expr(text, n):
@@ -499,22 +511,50 @@ def _parse_leaf(text, pos, n):
 
 def simplify(expr):
     """Drop pasting nodes whose one operand is the degenerate unit of the
-    other; the evaluation is unchanged."""
+    other; the evaluation is unchanged.  Shared subtrees stay shared."""
+    return _simplify(expr, {}, {})
+
+
+def _cons(table, node):
+    """Hash-consing: the node of table with the structure of node, which is
+    added if new.  The children of node must come from table, so equal
+    subtrees built against one table are one object, evaluated once."""
+    if isinstance(node, Leaf):
+        key = node.map
+    elif isinstance(node, ComposeMap):
+        key = ("compose", id(node.inner), node.map)
+    else:
+        key = (node.tag, node.index, id(node.left), id(node.right))
+    return table.setdefault(key, node)
+
+
+def _simplify(expr, memo, table):
+    """simplify with a memo keyed by node identity, so each distinct node of
+    a shared tree is rewritten once, and a hash-consing table for the result."""
+    done = memo.get(id(expr))
+    if done is not None:
+        return done
     if isinstance(expr, Leaf):
-        return expr
-    if isinstance(expr, ComposeMap):
-        return ComposeMap(simplify(expr.inner), expr.map)
-    left = simplify(expr.left)
-    right = simplify(expr.right)
-    node = type(expr)(expr.index, left, right)
-    if isinstance(node, Pasting):
-        i = node.index
-        lv = left.evaluate()
-        rv = right.evaluate()
-        if lv == rv.face(i + 1).degeneracy(i):
-            return right
-        if rv == lv.face(i).degeneracy(i):
-            return left
+        node = expr
+    elif isinstance(expr, ComposeMap):
+        inner = _simplify(expr.inner, memo, table)
+        node = expr if inner is expr.inner else ComposeMap(inner, expr.map)
+    else:
+        left = _simplify(expr.left, memo, table)
+        right = _simplify(expr.right, memo, table)
+        if left is expr.left and right is expr.right:
+            node = expr
+        else:
+            node = type(expr)(expr.index, left, right)
+        if isinstance(node, Pasting):
+            i = node.index
+            lv = left.evaluate()
+            rv = right.evaluate()
+            if lv == rv.face(i + 1).degeneracy(i):
+                node = right
+            elif rv == lv.face(i).degeneracy(i):
+                node = left
+    node = memo[id(expr)] = _cons(table, node)
     return node
 
 
@@ -547,19 +587,31 @@ def factorize(x, simplify_output=True):
     morphism's tree.  Each filler's two faces live one domain down, so the
     recursion terminates along (domain, greatest vertex).
 
-    Every recursive input is re-verified for membership and every split is
-    re-evaluated, so the returned tree always evaluates back to x.
+    Within one call each *distinct* recursive input is factorized once and
+    shared wherever it recurs: it is verified for membership, its splits are
+    re-evaluated and its residue is checked once, so the returned tree always
+    evaluates back to x.
     """
-    _require_member(x, "factorize")
-    expr = _factorize_member(x)
+    table = {}
+    expr = _factorize_member(x, {}, table)
     if simplify_output:
-        expr = simplify(expr)
+        expr = _simplify(expr, {}, table)
     if expr.evaluate() != x:
         raise AssertionError("factorization failed to reproduce its input")
     return expr
 
 
-def _factorize_member(x):
+def _factorize_member(x, memo, table):
+    """The factorization of x, looked up in or added to memo, which maps the
+    inputs already factorized in this call to their trees; every node is
+    built through the hash-consing table of the call."""
+    expr = memo.get(x)
+    if expr is None:
+        expr = memo[x] = _factorize_new(x, memo, table)
+    return expr
+
+
+def _factorize_new(x, memo, table):
     _require_member(x, "factorize")
     m = x.domain
     _, t = first_last(x)
@@ -570,14 +622,14 @@ def _factorize_member(x):
                 "a member with a constant term at its greatest vertex must be "
                 "that constant"
             )
-        return Leaf(constant)
+        return _cons(table, Leaf(constant))
 
     # Fillers split off below the top position, collected outermost-last.
     start_fillers = []
     current = x
     for r in range(0, m - 1):
         current, v = split_start(r, t, current)
-        node = Filler(r, _factorize_member(v.face(r + 2)), _factorize_member(v.face(r)))
+        node = _factorize_filler(r, v, memo, table)
         start_fillers.append((r, node))
 
     # The top-position split lowers the greatest vertex of the left factor.
@@ -585,38 +637,57 @@ def _factorize_member(x):
     _, t_left = first_last(left)
     if t_left >= t:
         raise AssertionError("middle split did not lower the greatest vertex")
-    left_tree = _factorize_member(left)
+    left_tree = _factorize_member(left, memo, table)
 
     # Fillers split off on the left, top position downward.
     finish_fillers = []
     for r in range(m - 2, -1, -1):
         u, current = split_finish(r, t, current)
-        node = Filler(r, _factorize_member(u.face(r + 2)), _factorize_member(u.face(r)))
+        node = _factorize_filler(r, u, memo, table)
         finish_fillers.append((r, node))
 
     # The residue ends at t everywhere; recurse one domain down and append t.
     if any(f.values[-1] != t for f in current.terms):
         raise AssertionError("residue has a term not ending at the greatest vertex")
-    residue_tree = _append_to_leaves(_factorize_member(current.face(m)), t)
+    below = _factorize_member(current.face(m), memo, table)
+    residue_tree = _append_to_leaves(below, t, {}, table)
     if residue_tree.evaluate() != current:
         raise AssertionError("residue reconstruction failed")
 
     tree = residue_tree
     for r, node in reversed(finish_fillers):
-        tree = Pasting(r, node, tree)
-    tree = Pasting(m - 1, left_tree, tree)
+        tree = _cons(table, Pasting(r, node, tree))
+    tree = _cons(table, Pasting(m - 1, left_tree, tree))
     for r, node in reversed(start_fillers):
-        tree = Pasting(r, tree, node)
+        tree = _cons(table, Pasting(r, tree, node))
     return tree
 
 
-def _append_to_leaves(expr, t):
+def _factorize_filler(r, v, memo, table):
+    """The filler node at r of the factorizations of the outer faces of v."""
+    left = _factorize_member(v.face(r + 2), memo, table)
+    return _cons(table, Filler(r, left, _factorize_member(v.face(r), memo, table)))
+
+
+def _append_to_leaves(expr, t, memo, table):
     """Append the vertex t to every leaf; this commutes with all node
-    operations because their indices never touch the final position."""
+    operations because their indices never touch the final position.
+
+    memo maps the nodes of expr already rewritten to their results, by
+    identity, so shared subtrees stay shared; new nodes go through table.
+    """
+    done = memo.get(id(expr))
+    if done is not None:
+        return done
     if isinstance(expr, Leaf):
-        return Leaf(MonotoneMap(expr.map.values + (t,), expr.map.codomain))
-    if isinstance(expr, ComposeMap):
+        node = Leaf(MonotoneMap(expr.map.values + (t,), expr.map.codomain))
+    elif isinstance(expr, ComposeMap):
         raise AssertionError("plain factorizations contain no composition nodes")
-    return type(expr)(
-        expr.index, _append_to_leaves(expr.left, t), _append_to_leaves(expr.right, t)
-    )
+    else:
+        node = type(expr)(
+            expr.index,
+            _append_to_leaves(expr.left, t, memo, table),
+            _append_to_leaves(expr.right, t, memo, table),
+        )
+    node = memo[id(expr)] = _cons(table, node)
+    return node

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ArityError, ParseError
+from .errors import ArityError, ParseError, json_int
 from .simplex import MonotoneMap, compose, degeneracy_generator, face_generator
 
 
@@ -205,9 +205,12 @@ class ZMorphism:
     @classmethod
     def from_json(cls, data):
         try:
-            m, n = int(data["m"]), int(data["n"])
+            m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
             items = [
-                (MonotoneMap(tuple(t["map"]), n), int(t["coef"]))
+                (
+                    MonotoneMap(tuple(json_int(v, "map value") for v in t["map"]), n),
+                    json_int(t["coef"], "coef"),
+                )
                 for t in data["terms"]
             ]
             return cls(m, n, items)

@@ -194,3 +194,84 @@ def test_emitted_morphisms_reparse(capsys, rng):
         code, out, _ = run(capsys, "compose", str(x), "(" + ",".join(str(i) for i in range(x.domain + 1)) + ")", "--n", str(x.codomain))
         assert code == 0
         assert parse_zmorphism(out.strip(), x.codomain, x.domain) == x
+
+
+def _combination_json(coef=1, m=1, n=2, values=(0, 1)):
+    return json.dumps({"m": m, "n": n, "terms": [{"map": list(values), "coef": coef}]})
+
+
+def test_check_rejects_non_integer_json_fields(capsys):
+    code, _, _ = run(capsys, "check", _combination_json())
+    assert code == 0
+    for blob in (
+        _combination_json(coef=1.5),
+        _combination_json(coef=True),
+        _combination_json(coef="1"),
+        _combination_json(m=1.0),
+        _combination_json(n="2"),
+        _combination_json(values=(0, True)),
+    ):
+        code, out, err = run(capsys, "check", blob)
+        assert code == 2, blob
+        assert out == ""
+        assert "must be an integer" in err
+
+
+def test_eval_rejects_non_integer_json_fields(capsys):
+    def expr_blob(index=0, values=(0, 1), n=2):
+        return json.dumps(
+            {
+                "n": n,
+                "expr": {
+                    "op": "pasting",
+                    "index": index,
+                    "left": {"op": "map", "values": list(values)},
+                    "right": {"op": "map", "values": [1, 2]},
+                },
+            }
+        )
+
+    code, _, _ = run(capsys, "eval", expr_blob())
+    assert code == 0
+    for blob in (
+        expr_blob(index=0.0),
+        expr_blob(index=False),
+        expr_blob(index="0"),
+        expr_blob(values=(0, 1.0)),
+        expr_blob(n=2.0),
+    ):
+        code, out, err = run(capsys, "eval", blob)
+        assert code == 2, blob
+        assert out == ""
+        assert "must be an integer" in err
+
+
+def _assert_resource_exit(code, out, err):
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0
+    assert err.startswith("resource bound:")
+
+
+def test_eval_deep_text_expression_exits_cleanly(capsys):
+    depth = 3000
+    text = "P_0(" * depth + "(0,1)" + ",(1,1))" * depth
+    _assert_resource_exit(*run(capsys, "eval", text, "--n", "2"))
+
+
+def test_eval_deep_json_expression_exits_cleanly(capsys):
+    # json.dumps itself recurses, so the text is built by hand
+    text = '{"n": 2, "expr": ' + _nested_pasting_json(3000) + "}"
+    _assert_resource_exit(*run(capsys, "eval", text))
+
+
+def _nested_pasting_json(depth):
+    head = '{"op": "pasting", "index": 0, "left": '
+    tail = ', "right": {"op": "map", "values": [1, 1]}}'
+    return head * depth + '{"op": "map", "values": [0, 1]}' + tail * depth
+
+
+def test_check_deep_json_exits_cleanly(capsys):
+    text = '{"m": 1, "n": 2, "terms": ' + "[" * 5000 + "]" * 5000 + "}"
+    _assert_resource_exit(*run(capsys, "check", text))

@@ -1,0 +1,60 @@
+"""Factorization trees stay string-identical to the recorded fixture, and
+each distinct subproblem of a call is solved once."""
+
+import json
+import os
+
+from osimplex import oriental
+from osimplex.oriental import eval_expr, factorize
+from osimplex.simplex import MonotoneMap
+from osimplex.zdelta import ZMorphism
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "factorize_strings.json")
+
+
+def identity(m):
+    return ZMorphism.generator(MonotoneMap(tuple(range(m + 1)), m))
+
+
+def test_factorize_strings_match_fixture():
+    with open(FIXTURE, encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"]
+    assert len(entries) >= 300
+    for entry in entries:
+        x = ZMorphism.from_json(entry["x"])
+        assert str(factorize(x, simplify_output=False)) == entry["raw"], str(x)
+        assert str(factorize(x)) == entry["simplified"], str(x)
+
+
+def test_factorize_verifies_each_distinct_subproblem_once(monkeypatch):
+    calls = []
+    original = oriental.check_membership
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(oriental, "check_membership", counted)
+    factorize(identity(4))
+    # one check per distinct input, the top-level one included
+    assert len(calls) <= 81
+    assert len(set(calls)) == len(calls)
+
+
+def test_factorize_identity_m5_roundtrip():
+    x = identity(5)
+    assert eval_expr(factorize(x)) == x
+
+
+def test_shared_subtrees_are_visited_once():
+    # Pasting(0, e, e) of the constant (1,1) is (1,1) again, so doubling the
+    # tree 60 times keeps every node valid; unfolded it has 2**61 - 1 nodes.
+    leaf = oriental.Leaf(MonotoneMap((1, 1), 2))
+    expr = leaf
+    for _ in range(60):
+        expr = oriental.Pasting(0, expr, expr)
+    assert eval_expr(expr) == ZMorphism.generator(leaf.map)
+    assert oriental.simplify(expr) == leaf
+    appended = oriental._append_to_leaves(expr, 2, {}, {})
+    assert appended.left is appended.right
+    assert eval_expr(appended) == ZMorphism.generator(MonotoneMap((1, 1, 2), 2))

@@ -9,6 +9,7 @@ from osimplex.errors import (
     CellConditionError,
     EnumerationLimitError,
     NotComposableError,
+    ParseError,
     PreconditionError,
 )
 from osimplex.nu import (
@@ -303,3 +304,22 @@ def test_cell_json_roundtrip():
         for cell in enumerate_cells(n):
             blob = json.dumps(cell.to_json())
             assert Cell.from_json(json.loads(blob)) == cell
+
+
+def test_cell_json_rejects_non_integer_fields():
+    cell = next(c for c in enumerate_cells(1) if c.dimension == 1)
+    data = cell.to_json()
+    assert Cell.from_json(data) == cell
+    for path, bad in (
+        (("n",), 1.0),
+        (("pairs", 0, "neg", 0, "coef"), True),
+        (("pairs", 1, "pos", 0, "coef"), 1.5),
+        (("pairs", 0, "neg", 0, "basis", 0), "0"),
+    ):
+        broken = json.loads(json.dumps(data))
+        target = broken
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ParseError, match="must be an integer"):
+            Cell.from_json(broken)
