@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter, itemgetter
 
 from .errors import ArityError, PreconditionError
 from .simplex import MonotoneMap
-from .zdelta import ZMorphism
+from .zdelta import ZMorphism, _Combination
 
 
 @dataclass(frozen=True, order=True)
@@ -29,15 +30,24 @@ class BasisElt:
             object.__setattr__(self, "vertices", tuple(self.vertices))
         if len(self.vertices) == 0:
             raise ValueError("a basis element needs at least one vertex")
+        if type(self.ambient) is not int or self.ambient < 0:
+            raise ValueError("ambient must be a nonnegative integer")
         prev = -1
         for v in self.vertices:
-            if not isinstance(v, int) or v <= prev:
+            if type(v) is not int or v <= prev:
                 raise ValueError(
                     f"vertices {self.vertices} are not strictly increasing from 0"
                 )
             prev = v
         if not 0 <= self.vertices[0] or prev > self.ambient:
             raise ValueError(f"vertices {self.vertices} exceed ambient {self.ambient}")
+
+    @classmethod
+    def _make(cls, vertices, ambient):
+        """A basis element from a vertex tuple already known to be valid; no checks."""
+        b = object.__new__(cls)
+        b.__dict__["vertices"], b.__dict__["ambient"] = vertices, ambient
+        return b
 
     @property
     def dimension(self):
@@ -49,116 +59,57 @@ class BasisElt:
 
 def basis_elements(n, dimension=None):
     """The basis elements of the complex on {0,...,n}, optionally of one dimension."""
+    if type(n) is not int or dimension is not None and dimension < 0:
+        raise ValueError("n must be an integer and the dimension nonnegative")
     dims = range(n + 1) if dimension is None else [dimension]
     out = []
     for q in dims:
         for verts in combinations(range(n + 1), q + 1):
-            out.append(BasisElt(verts, n))
+            out.append(BasisElt._make(verts, n))
     return out
 
 
-class Chain:
+class Chain(_Combination):
     """A homogeneous integer combination of basis elements of one dimension."""
 
-    __slots__ = ("dimension", "ambient", "terms", "_hash")
+    __slots__ = ("dimension", "ambient")
+    _key = BasisElt
+    _shape = property(attrgetter("dimension", "ambient"))
+    _shape_text = "dim {} in {}"
+    _values = attrgetter("vertices")
+    _brackets = "[]"
 
     def __init__(self, dimension, ambient, terms=()):
-        normalized = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for b, c in items:
-            if not isinstance(b, BasisElt):
-                b = BasisElt(tuple(b), ambient)
-            if b.dimension != dimension or b.ambient != ambient:
-                raise ArityError(
-                    f"term {b} is not {dimension}-dimensional in ambient {ambient}"
-                )
-            c = int(c)
-            if c:
-                c += normalized.get(b, 0)
-                if c:
-                    normalized[b] = c
-                else:
-                    del normalized[b]
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", normalized)
-        object.__setattr__(self, "_hash", None)
+        """Build a chain from a dict or iterable of (basis element, coefficient),
+        as ZMorphism does from maps."""
+        self._init(dimension, ambient, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Chain values are immutable")
-
-    @classmethod
-    def zero(cls, dimension, ambient):
-        return cls(dimension, ambient)
+    @staticmethod
+    def _check_key(b, dimension, ambient):
+        if not isinstance(b, BasisElt):
+            b = BasisElt(tuple(b), ambient)
+        if b.dimension != dimension or b.ambient != ambient:
+            raise ArityError(
+                f"term {b} is not {dimension}-dimensional in ambient {ambient}"
+            )
+        return b
 
     @classmethod
     def of(cls, b, coefficient=1):
         return cls(b.dimension, b.ambient, [(b, coefficient)])
 
-    def is_zero(self):
-        return not self.terms
-
     def is_nonnegative(self):
         return all(c >= 0 for c in self.terms.values())
-
-    def coefficient(self, b):
-        return self.terms.get(b, 0)
-
-    def support(self):
-        return sorted(self.terms, key=lambda b: b.vertices)
-
-    def _check_shape(self, other):
-        if self.dimension != other.dimension or self.ambient != other.ambient:
-            raise ArityError(
-                f"shape mismatch: dim {self.dimension} in {self.ambient} vs "
-                f"dim {other.dimension} in {other.ambient}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        self._check_shape(other)
-        merged = dict(self.terms)
-        for b, c in other.terms.items():
-            c += merged.get(b, 0)
-            if c:
-                merged[b] = c
-            else:
-                del merged[b]
-        return Chain(self.dimension, self.ambient, merged)
-
-    def __neg__(self):
-        return Chain(self.dimension, self.ambient, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return Chain(
-            self.dimension, self.ambient, {b: scalar * c for b, c in self.terms.items()}
-        )
-
-    __mul__ = __rmul__
 
     def boundary(self):
         """The alternating-sum boundary; defined for dimension >= 1."""
         if self.dimension < 1:
             raise PreconditionError("0-chains have no boundary")
-        out = {}
-        for b, c in self.terms.items():
-            verts = b.vertices
-            for i in range(len(verts)):
-                face = BasisElt(verts[:i] + verts[i + 1:], self.ambient)
-                coef = out.get(face, 0) + c * (-1) ** i
-                if coef:
-                    out[face] = coef
-                else:
-                    del out[face]
-        return Chain(self.dimension - 1, self.ambient, out)
+        return Chain._summed(self.dimension - 1, self.ambient, (
+            (b.vertices[:i] + b.vertices[i + 1:], -c if i & 1 else c)
+            for b, c in self.terms.items()
+            for i in range(len(b.vertices))
+        ))
 
     def augmentation(self):
         """The sum of coefficients of a 0-chain."""
@@ -173,41 +124,9 @@ class Chain:
         neg = {b: -c for b, c in d.terms.items() if c < 0}
         pos = {b: c for b, c in d.terms.items() if c > 0}
         return (
-            Chain(self.dimension - 1, self.ambient, neg),
-            Chain(self.dimension - 1, self.ambient, pos),
+            Chain._make(self.dimension - 1, self.ambient, neg),
+            Chain._make(self.dimension - 1, self.ambient, pos),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            key = (self.dimension, self.ambient, frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for b in self.support():
-            c = self.terms[b]
-            sign = "-" if c < 0 else "+"
-            body = str(b)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
 
     def __repr__(self):
         return f"<Chain dim {self.dimension} in {self.ambient}: {self}>"
@@ -309,10 +228,7 @@ def apply_map(f, b):
         raise ArityError(
             f"basis element {b} lives in {b.ambient}, map has domain {f.domain}"
         )
-    image = tuple(f.values[v] for v in b.vertices)
-    if all(u < v for u, v in zip(image, image[1:])):
-        return Chain.of(BasisElt(image, f.codomain))
-    return Chain.zero(b.dimension, f.codomain)
+    return _image([(f.values, 1)], b, f.codomain)
 
 
 class ChainMapTable:
@@ -329,10 +245,18 @@ class ChainMapTable:
 
     def apply(self, chain):
         """Extend the table linearly to an arbitrary chain."""
-        out = Chain.zero(chain.dimension, self.n)
+        out = {}
         for b, c in chain.terms.items():
-            out = out + c * self.images[b]
-        return out
+            image = self.images[b]
+            if image.dimension != chain.dimension or image.ambient != self.n:
+                raise ArityError(f"image of {b} has the wrong shape")
+            for e, ce in image.terms.items():
+                ce = out.get(e, 0) + c * ce
+                if ce:
+                    out[e] = ce
+                else:
+                    del out[e]
+        return Chain._make(chain.dimension, self.n, out)
 
     def validate(self):
         """Raise unless the table is a well-formed chain map.
@@ -361,7 +285,8 @@ class ChainMapTable:
         for b in expected:
             if b.dimension == 0:
                 continue
-            via_faces = self.apply(Chain.of(b).boundary())
+            unit = Chain._make(b.dimension, self.m, {b: 1})
+            via_faces = self.apply(unit.boundary())
             via_image = self.images[b].boundary()
             if via_faces != via_image:
                 raise PreconditionError(f"table does not commute with the boundary at {b}")
@@ -395,15 +320,30 @@ class ChainMapTable:
         }
 
 
+def _image(terms, b, n):
+    """The image of the basis element b under the chain map of the
+    combination with the given (map values, coefficient) terms and codomain
+    n, summed in term order with a zero sum dropped at once."""
+    verts = b.vertices
+    k = len(verts)
+    pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
+    # The image is non-decreasing, so it is a basis element when distinct.
+    return Chain._summed(k - 1, n, (
+        (image, c) for values, c in terms if len(set(image := pick(values))) == k
+    ))
+
+
+def _images(x):
+    """Yield (b, image of b under the chain map of x) for every basis element
+    b of the domain of x, in the order of basis_elements."""
+    terms = [(f.values, c) for f, c in x.terms.items()]
+    for b in basis_elements(x.domain):
+        yield b, _image(terms, b, x.codomain)
+
+
 def to_chain_map(x):
     """The chain map induced by an integer combination of monotone maps."""
-    images = {}
-    for b in basis_elements(x.domain):
-        total = Chain.zero(b.dimension, x.codomain)
-        for f, c in x.terms.items():
-            total = total + c * apply_map(f, b)
-        images[b] = total
-    return ChainMapTable(x.domain, x.codomain, images)
+    return ChainMapTable(x.domain, x.codomain, _images(x))
 
 
 def map_from_pair(a, b, m):
@@ -432,7 +372,7 @@ def from_chain_map(table):
     """
     table.validate()
     m, n = table.m, table.n
-    acc = ZMorphism.zero(m, n)
+    acc = {}
     for q in range(m, -1, -1):
         starters = [
             a
@@ -440,12 +380,11 @@ def from_chain_map(table):
             if a.vertices[0] == 0
         ]
         for a in sorted(starters, key=lambda e: e.vertices):
-            have = Chain.zero(q, n)
-            for f, c in acc.terms.items():
-                have = have + c * apply_map(f, a)
+            have = _image([(f.values, c) for f, c in acc.items()], a, n)
             need = table.images[a] - have
-            for b, c in need.terms.items():
-                acc = acc + ZMorphism.generator(map_from_pair(a, b, m), c)
+            # Each pair (a, b) gives a different map, so no term is hit twice.
+            acc.update((map_from_pair(a, b, m), c) for b, c in need.terms.items())
+    acc = ZMorphism._make(m, n, acc)
     if to_chain_map(acc) != table:
         raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

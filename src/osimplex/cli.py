@@ -73,6 +73,13 @@ def _load_expression(arg, n):
     return parse_expr(text, n)
 
 
+def _size(args):
+    """The n argument of enumerate, atoms and verify-basis."""
+    if args.size < 0:
+        raise ParseError(f"n must be a nonnegative integer, got {args.size}")
+    return args.size
+
+
 def _emit(args, payload, text):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -133,8 +140,9 @@ def _cmd_eval(args):
 
 
 def _cmd_enumerate(args):
-    bound = _ENUM_DEFAULT_BOUND if args.max_cells is None else args.size
-    cells = enumerate_cells(args.size, bound=bound, max_cells=args.max_cells)
+    n = _size(args)
+    bound = _ENUM_DEFAULT_BOUND if args.max_cells is None else n
+    cells = enumerate_cells(n, bound=bound, max_cells=args.max_cells)
     ordered = sorted(cells, key=lambda c: (c.dimension, str(c)))
     if args.json:
         print(
@@ -152,7 +160,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_atoms(args):
-    elements = basis_elements(args.size)
+    elements = basis_elements(_size(args))
     if args.json:
         print(
             json.dumps(
@@ -174,7 +182,7 @@ def _cmd_atoms(args):
 
 
 def _cmd_verify_basis(args):
-    unital = bool(check_unital(args.size))
+    unital = bool(check_unital(_size(args)))
     loopfree = check_strongly_loopfree(args.size)
     yes_no = {True: "yes", False: "no"}
     _emit(

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .oriental import check_membership
+from .oriental import _membership
 
 
 def violations(n, pairs):
@@ -227,7 +227,7 @@ def _nonneg_preimages(delta, q):
 
     def descend(index, remaining, picked):
         if index == len(basis):
-            chain = Chain(q, n, picked)
+            chain = Chain._make(q, n, dict(picked))
             if chain.boundary() == delta:
                 out.append(chain)
             return
@@ -339,11 +339,11 @@ def act(x, cell):
         raise ArityError(
             f"cell lives over {cell.ambient}, morphism has domain {x.domain}"
         )
-    result = check_membership(x)
+    table = to_chain_map(x)
+    result = _membership(x, table.images.items())
     if not result.ok:
         raise PreconditionError(
             f"only oriental morphisms act on cells: {result.reason}"
         )
-    table = to_chain_map(x)
     pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
     return Cell.from_pairs(x.codomain, pairs)

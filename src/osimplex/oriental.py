@@ -21,7 +21,8 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .simplex import MonotoneMap, enumerate_injective_into, face_generator
+from .chains import _images
+from .simplex import MonotoneMap, face_generator
 from .zdelta import ZMorphism
 
 
@@ -52,17 +53,28 @@ class MembershipResult:
 def check_membership(x):
     """Decide membership among oriental morphisms, returning a result object.
 
-    Every injective map into the domain is tried; there is no pruning.
+    The injective terms of x o f, for the injective map f with values b, are
+    the image of the basis element b under the chain map of x.  So after the
+    coefficient sum, the nonnegativity is read off the chain-map images,
+    basis element by basis element in the order of enumerate_injective_into,
+    and the first negative coefficient found is the witness.
     """
+    return _membership(x, _images(x))
+
+
+def _membership(x, images):
+    """check_membership on the (basis element, image) pairs of the chain map
+    of x, which are read only as far as the first witness."""
     total = x.coefficient_sum()
     if total != 1:
         return MembershipResult(
             ok=False, reason=f"coefficient sum is {total}, not 1"
         )
-    for f in enumerate_injective_into(x.domain):
-        composite = x.compose(ZMorphism.generator(f))
-        for g, c in composite.terms.items():
-            if c < 0 and g.is_injective():
+    for b, image in images:
+        for e, c in image.terms.items():
+            if c < 0:
+                f = MonotoneMap(b.vertices, x.domain)
+                g = MonotoneMap(e.vertices, x.codomain)
                 return MembershipResult(
                     ok=False,
                     reason=(
@@ -560,18 +572,33 @@ def _simplify(expr, memo, table):
 
 def eliminate_pastings(expr):
     """Rewrite every pasting node as a face of the corresponding filler, so
-    the tree uses fillers and composition with monotone maps only."""
+    the tree uses fillers and composition with monotone maps only.  Shared
+    subtrees stay shared."""
+    return _eliminate(expr, {}, {})
+
+
+def _eliminate(expr, memo, table):
+    """eliminate_pastings with a memo keyed by node identity, so each
+    distinct node is rewritten and evaluated once, and a hash-consing table
+    for the result."""
+    done = memo.get(id(expr))
+    if done is not None:
+        return done
     if isinstance(expr, Leaf):
-        return expr
-    if isinstance(expr, ComposeMap):
-        return ComposeMap(eliminate_pastings(expr.inner), expr.map)
-    left = eliminate_pastings(expr.left)
-    right = eliminate_pastings(expr.right)
-    if isinstance(expr, Pasting):
-        inner = Filler(expr.index, left, right)
-        m = inner.evaluate().domain
-        return ComposeMap(inner, face_generator(expr.index + 1, m))
-    return type(expr)(expr.index, left, right)
+        node = expr
+    elif isinstance(expr, ComposeMap):
+        node = ComposeMap(_eliminate(expr.inner, memo, table), expr.map)
+    else:
+        left = _eliminate(expr.left, memo, table)
+        right = _eliminate(expr.right, memo, table)
+        if isinstance(expr, Pasting):
+            inner = _cons(table, Filler(expr.index, left, right))
+            m = inner.evaluate().domain
+            node = ComposeMap(inner, face_generator(expr.index + 1, m))
+        else:
+            node = type(expr)(expr.index, left, right)
+    node = memo[id(expr)] = _cons(table, node)
+    return node
 
 
 def factorize(x, simplify_output=True):

@@ -27,17 +27,24 @@ class MonotoneMap:
             object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) == 0:
             raise ValueError("a monotone map needs at least one value")
-        if self.codomain < 0:
+        if type(self.codomain) is not int or self.codomain < 0:
             raise ValueError("codomain must be a nonnegative integer")
         prev = 0
         for v in self.values:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError(f"map values must be integers, got {v!r}")
             if v < prev:
                 raise ValueError(f"values {self.values} are not non-decreasing from 0")
             prev = v
         if prev > self.codomain:
             raise ValueError(f"value {prev} exceeds codomain {self.codomain}")
+
+    @classmethod
+    def _make(cls, values, codomain):
+        """A map from a values tuple already known to be valid; no checks."""
+        f = object.__new__(cls)
+        f.__dict__["values"], f.__dict__["codomain"] = values, codomain
+        return f
 
     @property
     def domain(self):

@@ -3,73 +3,206 @@
 For fixed m and n the combinations with all terms in Delta(m,n) form a free
 abelian group; together these groups form a category with the same objects
 as the simplex category.  Values are immutable: every operation returns a
-new, normalized combination (no zero coefficients are ever stored).
+new, normalized combination (no zero coefficients are ever stored).  The
+group structure itself (normalization, sums, equality, printing) is the
+base class _Combination, which chains.Chain shares.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 from .errors import ArityError, ParseError, json_int
-from .simplex import MonotoneMap, compose, degeneracy_generator, face_generator
+from .simplex import MonotoneMap, degeneracy_generator, face_generator
 
 
-class ZMorphism:
+_set = object.__setattr__
+
+
+class _Combination:
+    """A finite integer combination of keys of one shape, kept as a dict from
+    keys to nonzero coefficients; values are immutable.
+
+    A subclass names its two shape fields as its __slots__ and gets them as
+    _shape, names its key class (built from a tuple and the second shape
+    field), checks an input term in _check_key, and gives the tuple by which
+    keys sort and print (_values), the brackets around it and the wording of
+    its shape in errors.
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    def _init(self, first, second, terms):
+        """Accumulate a dict or iterable of (key, coefficient): coefficients
+        of repeated keys add up and zero terms are dropped.  Coefficients
+        must be integers (not bool), and both shape fields nonnegative
+        integers."""
+        for name, k in zip(self.__slots__, (first, second)):
+            if type(k) is not int or k < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
+        normalized = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, c in items:
+            key = self._check_key(key, first, second)
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+            if c:
+                c += normalized.get(key, 0)
+                if c:
+                    normalized[key] = c
+                else:
+                    del normalized[key]
+        _set(self, self.__slots__[0], first)
+        _set(self, self.__slots__[1], second)
+        _set(self, "terms", normalized)
+        _set(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, first, second, terms):
+        """A value from a dict of valid keys of this shape to nonzero
+        integers, which it keeps; no checks."""
+        x = object.__new__(cls)
+        _set(x, cls.__slots__[0], first)
+        _set(x, cls.__slots__[1], second)
+        _set(x, "terms", terms)
+        _set(x, "_hash", None)
+        return x
+
+    @classmethod
+    def _summed(cls, first, second, pairs):
+        """_make from (key tuple, nonzero coefficient) pairs that are valid
+        for this shape, summed in order with a zero sum dropped at once, as
+        repeated addition does; each distinct key is built once."""
+        out = {}
+        for values, c in pairs:
+            c += out.get(values, 0)
+            if c:
+                out[values] = c
+            else:
+                del out[values]
+        make = cls._key._make
+        return cls._make(first, second, {make(v, second): c for v, c in out.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    @classmethod
+    def zero(cls, first, second):
+        return cls(first, second)
+
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
+
+    def support(self):
+        """The keys with nonzero coefficient, in the canonical term order."""
+        return sorted(self.terms, key=self._values)
+
+    def _check_shape(self, other):
+        if self._shape != other._shape:
+            raise ArityError(
+                f"shape mismatch: {self._shape_text.format(*self._shape)} vs "
+                f"{other._shape_text.format(*other._shape)}"
+            )
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_shape(other)
+        merged = dict(self.terms)
+        for key, c in other.terms.items():
+            c += merged.get(key, 0)
+            if c:
+                merged[key] = c
+            else:
+                del merged[key]
+        return self._make(*self._shape, merged)
+
+    def __neg__(self):
+        return -1 * self
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        terms = {key: scalar * c for key, c in self.terms.items()} if scalar else {}
+        return self._make(*self._shape, terms)
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape == other._shape and self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            _set(self, "_hash", hash((*self._shape, frozenset(self.terms.items()))))
+        return self._hash
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for key in self.support():
+            c = self.terms[key]
+            sign = "-" if c < 0 else "+"
+            open_, close = self._brackets
+            body = open_ + ",".join(str(v) for v in self._values(key)) + close
+            if abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+            pieces.append((sign, body))
+        first_sign, first_body = pieces[0]
+        text = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in pieces[1:]:
+            text += f" {sign} {body}"
+        return text
+
+
+class ZMorphism(_Combination):
     """A finite integer combination of monotone maps sharing domain and codomain."""
 
-    __slots__ = ("domain", "codomain", "terms", "_hash")
+    __slots__ = ("domain", "codomain")
+    _key = MonotoneMap
+    _shape = property(attrgetter("domain", "codomain"))
+    _shape_text = "({} -> {})"
+    _values = attrgetter("values")
+    _brackets = "()"
 
     def __init__(self, domain, codomain, terms=()):
         """Build a combination from a dict or iterable of (map, coefficient).
 
         Coefficients of repeated maps accumulate; zero terms are dropped.
+        Coefficients must be integers (not bool), and the domain and
+        codomain nonnegative integers.
         """
-        normalized = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for f, c in items:
-            if not isinstance(f, MonotoneMap):
-                f = MonotoneMap(tuple(f), codomain)
-            if f.domain != domain or f.codomain != codomain:
-                raise ArityError(
-                    f"term {f} does not lie in the combination's hom-set "
-                    f"({domain} -> {codomain})"
-                )
-            c = int(c)
-            if c:
-                c += normalized.get(f, 0)
-                if c:
-                    normalized[f] = c
-                else:
-                    del normalized[f]
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "terms", normalized)
-        object.__setattr__(self, "_hash", None)
+        self._init(domain, codomain, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ZMorphism values are immutable")
-
-    @classmethod
-    def zero(cls, domain, codomain):
-        return cls(domain, codomain)
+    @staticmethod
+    def _check_key(f, domain, codomain):
+        if not isinstance(f, MonotoneMap):
+            f = MonotoneMap(tuple(f), codomain)
+        if f.domain != domain or f.codomain != codomain:
+            raise ArityError(
+                f"term {f} does not lie in the combination's hom-set "
+                f"({domain} -> {codomain})"
+            )
+        return f
 
     @classmethod
     def generator(cls, f, coefficient=1):
         """The combination with the single term coefficient * f."""
         return cls(f.domain, f.codomain, [(f, coefficient)])
 
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, f):
-        return self.terms.get(f, 0)
-
     def coefficient_sum(self):
         return sum(self.terms.values())
-
-    def support(self):
-        """The maps with nonzero coefficient, in the canonical term order."""
-        return sorted(self.terms, key=lambda f: f.values)
 
     def vertices(self):
         """The set of integers appearing in the terms."""
@@ -77,45 +210,6 @@ class ZMorphism:
         for f in self.terms:
             out.update(f.values)
         return out
-
-    def _check_shape(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ArityError(
-                f"shape mismatch: ({self.domain} -> {self.codomain}) vs "
-                f"({other.domain} -> {other.codomain})"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, ZMorphism):
-            return NotImplemented
-        self._check_shape(other)
-        merged = dict(self.terms)
-        for f, c in other.terms.items():
-            c += merged.get(f, 0)
-            if c:
-                merged[f] = c
-            else:
-                del merged[f]
-        return ZMorphism(self.domain, self.codomain, merged)
-
-    def __neg__(self):
-        return ZMorphism(
-            self.domain, self.codomain, {f: -c for f, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ZMorphism):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return ZMorphism(
-            self.domain, self.codomain, {f: scalar * c for f, c in self.terms.items()}
-        )
-
-    __mul__ = __rmul__
 
     def compose(self, other):
         """The bilinear composite self o other.
@@ -130,65 +224,35 @@ class ZMorphism:
                 f"cannot compose: codomain {other.codomain} differs from "
                 f"domain {self.domain}"
             )
-        out = {}
-        for g, cg in self.terms.items():
-            for f, cf in other.terms.items():
-                h = compose(g, f)
-                c = out.get(h, 0) + cg * cf
-                if c:
-                    out[h] = c
-                else:
-                    del out[h]
-        return ZMorphism(other.domain, self.codomain, out)
+        return ZMorphism._summed(other.domain, self.codomain, (
+            (tuple([g.values[v] for v in f.values]), cg * cf)
+            for g, cg in self.terms.items()
+            for f, cf in other.terms.items()
+        ))
 
     def face(self, i):
         """The i-th face: composition with the injection omitting i."""
-        return self.compose(ZMorphism.generator(face_generator(i, self.domain)))
+        if self.domain <= 0 or not 0 <= i <= self.domain:
+            face_generator(i, self.domain)  # raises IndexError
+        return ZMorphism._summed(self.domain - 1, self.codomain, (
+            (f.values[:i] + f.values[i + 1:], c) for f, c in self.terms.items()
+        ))
 
     def degeneracy(self, i):
         """The i-th degeneracy: composition with the surjection repeating i."""
-        return self.compose(ZMorphism.generator(degeneracy_generator(i, self.domain)))
+        if not 0 <= i <= self.domain:
+            degeneracy_generator(i, self.domain)  # raises IndexError
+        return ZMorphism._summed(self.domain + 1, self.codomain, (
+            (f.values[:i + 1] + f.values[i:], c) for f, c in self.terms.items()
+        ))
 
     def injective_part(self):
         """The restriction of the combination to its injective terms."""
-        return ZMorphism(
+        return ZMorphism._make(
             self.domain,
             self.codomain,
             {f: c for f, c in self.terms.items() if f.is_injective()},
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, ZMorphism):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            key = (self.domain, self.codomain, frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for f in self.support():
-            c = self.terms[f]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = "(" + ",".join(str(v) for v in f.values) + ")"
-            if mag != 1:
-                body = f"{mag}*{body}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
 
     def __repr__(self):
         return f"<ZMorphism {self.domain}->{self.codomain}: {self}>"

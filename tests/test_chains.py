@@ -179,3 +179,18 @@ def test_chain_rendering():
     c = chain(2, ((0, 1), 1), ((1, 2), -2))
     assert str(c) == "[0,1] - 2*[1,2]"
     assert str(Chain.zero(1, 2)) == "0"
+
+
+def test_basis_elt_rejects_bool_vertices():
+    with pytest.raises(ValueError):
+        BasisElt((0, True), 1)
+
+
+def test_chain_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError):
+        Chain(1, 2, [((0, 1), 2.7)])
+
+
+def test_chain_rejects_negative_dimension():
+    with pytest.raises(ValueError):
+        Chain(-3, 2)

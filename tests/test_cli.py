@@ -275,3 +275,28 @@ def _nested_pasting_json(depth):
 def test_check_deep_json_exits_cleanly(capsys):
     text = '{"m": 1, "n": 2, "terms": ' + "[" * 5000 + "]" * 5000 + "}"
     _assert_resource_exit(*run(capsys, "check", text))
+
+
+def _assert_parse_exit(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0
+    assert err.startswith("parse error:")
+
+
+def test_enumerate_negative_size_exits_2(capsys):
+    _assert_parse_exit(*run(capsys, "enumerate", "-1"))
+    _assert_parse_exit(*run(capsys, "enumerate", "-1", "--max-cells", "5"))
+
+
+def test_atoms_negative_size_exits_2(capsys):
+    _assert_parse_exit(*run(capsys, "atoms", "-1"))
+
+
+def test_verify_basis_negative_size_exits_2(capsys):
+    _assert_parse_exit(*run(capsys, "verify-basis", "-1"))
+
+
+def test_check_negative_domain_exits_2(capsys):
+    _assert_parse_exit(*run(capsys, "check", '{"m":-1,"n":1,"terms":[]}'))

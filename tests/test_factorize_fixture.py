@@ -3,10 +3,11 @@ each distinct subproblem of a call is solved once."""
 
 import json
 import os
+import time
 
 from osimplex import oriental
 from osimplex.oriental import eval_expr, factorize
-from osimplex.simplex import MonotoneMap
+from osimplex.simplex import MonotoneMap, face_generator
 from osimplex.zdelta import ZMorphism
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "factorize_strings.json")
@@ -58,3 +59,44 @@ def test_shared_subtrees_are_visited_once():
     appended = oriental._append_to_leaves(expr, 2, {}, {})
     assert appended.left is appended.right
     assert eval_expr(appended) == ZMorphism.generator(MonotoneMap((1, 1, 2), 2))
+
+
+def test_eliminate_pastings_keeps_sharing():
+    # Each Pasting(0, e, e) becomes C(F_0(e', e'), face 1); rewritten node by
+    # node of the unfolded tree, 40 levels would take 2**40 steps.
+    leaf = oriental.Leaf(MonotoneMap((1, 1), 2))
+    expr = leaf
+    for _ in range(40):
+        expr = oriental.Pasting(0, expr, expr)
+    started = time.process_time()
+    rewritten = oriental.eliminate_pastings(expr)
+    assert time.process_time() - started < 1.0
+    assert rewritten.inner.left is rewritten.inner.right
+    assert eval_expr(rewritten) == eval_expr(expr)
+
+
+def reference_eliminate(expr):
+    """eliminate_pastings on the unfolded tree, node by node."""
+    if isinstance(expr, oriental.Leaf):
+        return expr
+    if isinstance(expr, oriental.ComposeMap):
+        return oriental.ComposeMap(reference_eliminate(expr.inner), expr.map)
+    left = reference_eliminate(expr.left)
+    right = reference_eliminate(expr.right)
+    if isinstance(expr, oriental.Pasting):
+        inner = oriental.Filler(expr.index, left, right)
+        m = inner.evaluate().domain
+        return oriental.ComposeMap(inner, face_generator(expr.index + 1, m))
+    return type(expr)(expr.index, left, right)
+
+
+def test_eliminate_pastings_strings_match_reference():
+    with open(FIXTURE, encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"]
+    for entry in entries:
+        x = ZMorphism.from_json(entry["x"])
+        # Raw trees unfold exponentially with the domain, so the larger
+        # members are checked on their simplified trees.
+        tree = factorize(x, simplify_output=x.domain >= 3)
+        expected = str(reference_eliminate(tree))
+        assert str(oriental.eliminate_pastings(tree)) == expected, str(x)

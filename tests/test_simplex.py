@@ -132,3 +132,8 @@ def test_text_roundtrip():
         parse_map("(0,0,1)")
     with pytest.raises(ParseError):
         parse_map("(1,0):2")
+
+
+def test_construction_rejects_bool_values():
+    with pytest.raises(ValueError):
+        MonotoneMap((0, True), 1)

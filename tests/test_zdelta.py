@@ -133,3 +133,13 @@ def test_json_roundtrip():
     x = parse_zmorphism("(0,1) - (1,1) + (1,2)", 2)
     blob = json.dumps(x.to_json())
     assert ZMorphism.from_json(json.loads(blob)) == x
+
+
+def test_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError):
+        ZMorphism(1, 2, [((0, 1), 1.5)])
+
+
+def test_rejects_negative_domain():
+    with pytest.raises(ValueError):
+        ZMorphism(-1, 1)
