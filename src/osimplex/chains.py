@@ -15,7 +15,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import ArityError, PreconditionError
 from .simplex import MonotoneMap
-from .zdelta import ZMorphism, _Combination
+from .zdelta import ZMorphism, _Combination, _sum_pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -105,10 +105,8 @@ class Chain(_Combination):
         """The alternating-sum boundary; defined for dimension >= 1."""
         if self.dimension < 1:
             raise PreconditionError("0-chains have no boundary")
-        return Chain._summed(self.dimension - 1, self.ambient, (
-            (b.vertices[:i] + b.vertices[i + 1:], -c if i & 1 else c)
-            for b, c in self.terms.items()
-            for i in range(len(b.vertices))
+        return Chain._summed(self.dimension - 1, self.ambient, _faces(
+            (b.vertices, c) for b, c in self.terms.items()
         ))
 
     def augmentation(self):
@@ -137,6 +135,16 @@ class Chain(_Combination):
         ]
 
 
+def _faces(terms):
+    """The alternating-sum boundary of (vertex tuple, coefficient) terms, as
+    (face, signed coefficient) pairs in term order."""
+    return (
+        (verts[:i] + verts[i + 1:], -c if i & 1 else c)
+        for verts, c in terms
+        for i in range(len(verts))
+    )
+
+
 def iterated_boundary_part(b, k, sign):
     """Apply the chosen boundary part k times to a basis element.
 
@@ -149,11 +157,16 @@ def iterated_boundary_part(b, k, sign):
         raise PreconditionError(
             f"iteration count {k} out of range for dimension {b.dimension}"
         )
-    chain = Chain.of(b)
+    # The parts are kept as {vertex tuple: coefficient}: the boundary is
+    # summed as Chain.boundary sums it and split as boundary_parts splits it.
+    terms = {b.vertices: 1}
     for _ in range(k):
-        neg, pos = chain.boundary_parts()
-        chain = neg if sign == "-" else pos
-    return chain
+        d = _sum_pairs(_faces(terms.items()))
+        if sign == "-":
+            terms = {v: -c for v, c in d.items() if c < 0}
+        else:
+            terms = {v: c for v, c in d.items() if c > 0}
+    return Chain._summed(b.dimension - k, b.ambient, terms.items())
 
 
 class UnitalityReport:

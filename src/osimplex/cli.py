@@ -28,6 +28,7 @@ from .oriental import check_membership, eval_expr, expr_from_json, factorize, pa
 from .zdelta import ZMorphism, parse_zmorphism
 
 _ENUM_DEFAULT_BOUND = 3
+_BASIS_DEFAULT_BOUND = 2**13 - 1  # the basis of the complex on {0,...,12}
 
 
 def _read_source(arg):
@@ -78,6 +79,22 @@ def _size(args):
     if args.size < 0:
         raise ParseError(f"n must be a nonnegative integer, got {args.size}")
     return args.size
+
+
+def _basis_size(args):
+    """The n argument of atoms and verify-basis, whose work grows with the
+    2^(n+1) - 1 basis elements; --max-basis lifts the default bound."""
+    n = _size(args)
+    bound = _BASIS_DEFAULT_BOUND if args.max_basis is None else args.max_basis
+    if bound < 0:
+        raise ParseError(f"--max-basis must be a nonnegative integer, got {bound}")
+    # 2^(n+1) - 1 <= bound exactly when n + 1 < (bound + 1).bit_length().
+    if n + 1 >= (bound + 1).bit_length():
+        raise EnumerationLimitError(
+            f"the complex on {{0,...,{n}}} has 2^{n + 1} - 1 basis elements, more "
+            f"than the bound {bound}; pass a larger --max-basis to proceed"
+        )
+    return n
 
 
 def _emit(args, payload, text):
@@ -160,7 +177,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_atoms(args):
-    elements = basis_elements(_size(args))
+    elements = basis_elements(_basis_size(args))
     if args.json:
         print(
             json.dumps(
@@ -182,7 +199,7 @@ def _cmd_atoms(args):
 
 
 def _cmd_verify_basis(args):
-    unital = bool(check_unital(_size(args)))
+    unital = bool(check_unital(_basis_size(args)))
     loopfree = check_strongly_loopfree(args.size)
     yes_no = {True: "yes", False: "no"}
     _emit(
@@ -235,11 +252,17 @@ def build_parser():
         help="resource bound on the number of cells; required beyond n=3",
     )
 
+    basis_bound = (
+        "resource bound on the number of basis elements, 2^(n+1) - 1; "
+        f"default {_BASIS_DEFAULT_BOUND} (n <= 12)"
+    )
     p = add("atoms", _cmd_atoms, "list the atoms over {0,...,n}")
     p.add_argument("size", type=int, metavar="n")
+    p.add_argument("--max-basis", type=int, help=basis_bound)
 
     p = add("verify-basis", _cmd_verify_basis, "check unitality and loop-freeness")
     p.add_argument("size", type=int, metavar="n")
+    p.add_argument("--max-basis", type=int, help=basis_bound)
 
     return parser
 

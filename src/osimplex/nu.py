@@ -262,6 +262,8 @@ def enumerate_cells(n, bound=3, max_cells=None):
             "pass a larger bound explicitly to proceed"
         )
     cells = set()
+    # The preimages of each difference chain, searched once per call.
+    preimages = {}
 
     def note(pairs):
         cells.add(Cell(n, pairs, _checked=True))
@@ -278,8 +280,12 @@ def enumerate_cells(n, bound=3, max_cells=None):
             return
         if q >= n:
             return
-        for up_neg in _nonneg_preimages(delta, q + 1):
-            for up_pos in _nonneg_preimages(delta, q + 1):
+        key = (delta, q + 1)
+        ups = preimages.get(key)
+        if ups is None:
+            ups = preimages[key] = _nonneg_preimages(delta, q + 1)
+        for up_neg in ups:
+            for up_pos in ups:
                 extend(pairs + [(up_neg, up_pos)], q + 1)
 
     for s, t in product(range(n + 1), repeat=2):
@@ -295,24 +301,40 @@ def check_atom_generation(n, bound=3):
     """Whether the closure of the atoms under identities and composition is
     the whole set of cells."""
     cells = enumerate_cells(n, bound=bound)
-    generated = {atom(b) for b in basis_elements(n)}
-    frontier = set(generated)
+    return _atom_closure(n) == cells
+
+
+def _atom_closure(n):
+    """The closure of the atoms over {0,...,n} under identities and
+    composition, by semi-naive rounds: each round pairs only the cells new in
+    the round before with the cells generated so far, in both orders, found
+    through their level-p sources and targets."""
+    generated = set()
+    by_source = {}  # (p, source at p) -> cells
+    by_target = {}  # (p, target at p) -> cells
+    frontier = {atom(b) for b in basis_elements(n)}
     while frontier:
+        generated |= frontier
+        ends = {x: [(x.source(p), x.target(p)) for p in range(n + 1)] for x in frontier}
+        for x, levels in ends.items():
+            for p, (s, t) in enumerate(levels):
+                by_source.setdefault((p, s), []).append(x)
+                by_target.setdefault((p, t), []).append(x)
         fresh = set()
-        for x in frontier:
-            for p in range(n + 1):
-                for made in (x.source(p), x.target(p)):
-                    if made not in generated:
-                        fresh.add(made)
-        for x, y in product(generated, repeat=2):
-            for p in range(max(x.dimension, y.dimension) + 1):
-                if x.target(p) == y.source(p):
-                    made = x.compose(y, p)
-                    if made not in generated:
-                        fresh.add(made)
-        generated |= fresh
-        frontier = fresh
-    return generated == cells
+        for x, levels in ends.items():
+            for p, (s, t) in enumerate(levels):
+                fresh.add(s)
+                fresh.add(t)
+                # Above both dimensions only x composes with itself, giving x.
+                for y in by_source.get((p, t), ()):
+                    if p <= max(x.dimension, y.dimension):
+                        fresh.add(x.compose(y, p))
+                # Pairs within the frontier were made above with x on the left.
+                for y in by_target.get((p, s), ()):
+                    if y not in frontier and p <= max(x.dimension, y.dimension):
+                        fresh.add(y.compose(x, p))
+        frontier = fresh - generated
+    return generated
 
 
 def from_set_pairs(n, set_pairs):

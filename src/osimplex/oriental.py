@@ -189,10 +189,7 @@ def _vertex_image(x, k):
     return out
 
 
-def _check_split_input(r, t, x, terms_ok, describe):
-    m = x.domain
-    if not 0 <= r <= m - 2:
-        raise PreconditionError(f"split index {r} out of range for domain {m}")
+def _check_split_terms(t, x, terms_ok, describe):
     if _vertex_image(x, -1) != {t: 1}:
         raise PreconditionError(
             f"the composite with the last vertex must be the single term ({t})"
@@ -234,7 +231,9 @@ def split_start(r, t, x):
     """Split off a filler on the right at position r, for x whose terms all
     satisfy a_r < t.  Returns (u, v) with x = pasting(r, u, v), where v is the
     filler of its own outer faces and every term of u has a_{r+1} < t."""
-    _check_split_input(r, t, x, lambda a: a[r] < t, f"entry {r} must be below {t}")
+    if not 0 <= r <= x.domain - 2:
+        raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
+    _check_split_terms(t, x, lambda a: a[r] < t, f"entry {r} must be below {t}")
     u, v = _alpha_beta(x, r, t, pivot=r + 1)
     if filler(r, v.face(r + 2), v.face(r)) != v:
         raise AssertionError("right factor is not the filler of its faces")
@@ -248,15 +247,7 @@ def split_middle(t, x):
     m = x.domain
     if m <= 0:
         raise PreconditionError("the middle split needs domain at least 1")
-    if _vertex_image(x, -1) != {t: 1}:
-        raise PreconditionError(
-            f"the composite with the last vertex must be the single term ({t})"
-        )
-    for f in x.terms:
-        if not f.values[m - 1] < t:
-            raise PreconditionError(
-                f"term {f} violates the split precondition: entry {m - 1} must be below {t}"
-            )
+    _check_split_terms(t, x, lambda a: a[m - 1] < t, f"entry {m - 1} must be below {t}")
     return _alpha_beta(x, m - 1, t, pivot=m)
 
 
@@ -265,8 +256,10 @@ def split_finish(r, t, x):
     satisfy a_{r+1} = a_m or a_m = t.  Returns (u, v) with
     x = pasting(r, u, v), where u is the filler of its own outer faces and
     every term of v has a_r = a_m or a_m = t."""
-    _check_split_input(
-        r, t, x,
+    if not 0 <= r <= x.domain - 2:
+        raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
+    _check_split_terms(
+        t, x,
         lambda a: a[r + 1] == a[-1] or a[-1] == t,
         f"entry {r + 1} must equal the last entry unless that entry is {t}",
     )
@@ -288,6 +281,7 @@ class Expr:
     """
 
     _value = None
+    _hash = None
 
     def evaluate(self):
         return self._evaluate(())
@@ -304,7 +298,10 @@ class Expr:
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # Children cache theirs too, so a shared DAG hashes once per node.
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"<Expr {self}>"

@@ -20,6 +20,19 @@ from .simplex import MonotoneMap, degeneracy_generator, face_generator
 _set = object.__setattr__
 
 
+def _sum_pairs(pairs):
+    """The dict of (key, nonzero coefficient) pairs summed in order with a
+    zero sum dropped at once, as repeated addition does."""
+    out = {}
+    for key, c in pairs:
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
 class _Combination:
     """A finite integer combination of keys of one shape, kept as a dict from
     keys to nonzero coefficients; values are immutable.
@@ -72,17 +85,12 @@ class _Combination:
     @classmethod
     def _summed(cls, first, second, pairs):
         """_make from (key tuple, nonzero coefficient) pairs that are valid
-        for this shape, summed in order with a zero sum dropped at once, as
-        repeated addition does; each distinct key is built once."""
-        out = {}
-        for values, c in pairs:
-            c += out.get(values, 0)
-            if c:
-                out[values] = c
-            else:
-                del out[values]
+        for this shape, summed by _sum_pairs; each distinct key is built
+        once."""
         make = cls._key._make
-        return cls._make(first, second, {make(v, second): c for v, c in out.items()})
+        return cls._make(
+            first, second, {make(v, second): c for v, c in _sum_pairs(pairs).items()}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")

@@ -300,3 +300,23 @@ def test_verify_basis_negative_size_exits_2(capsys):
 
 def test_check_negative_domain_exits_2(capsys):
     _assert_parse_exit(*run(capsys, "check", '{"m":-1,"n":1,"terms":[]}'))
+
+
+def test_atoms_basis_bound(capsys):
+    # atoms 40 would walk 2^41 - 1 basis elements; the default bound stops at n=12
+    _assert_resource_exit(*run(capsys, "atoms", "40"))
+    _assert_resource_exit(*run(capsys, "atoms", "13"))
+    _assert_resource_exit(*run(capsys, "atoms", "2", "--max-basis", "6"))
+    code, out, _ = run(capsys, "atoms", "2", "--max-basis", "7")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 7
+    _assert_parse_exit(*run(capsys, "atoms", "2", "--max-basis", "-1"))
+
+
+def test_verify_basis_basis_bound(capsys):
+    _assert_resource_exit(*run(capsys, "verify-basis", "40"))
+    _assert_resource_exit(*run(capsys, "verify-basis", "13"))
+    code, out, _ = run(capsys, "verify-basis", "13", "--max-basis", str(2**14 - 1))
+    assert code == 0
+    assert out.strip() == "unital: yes; strongly loop-free: yes"
+    _assert_parse_exit(*run(capsys, "verify-basis", "1", "--max-basis", "-1"))

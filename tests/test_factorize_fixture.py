@@ -61,6 +61,17 @@ def test_shared_subtrees_are_visited_once():
     assert eval_expr(appended) == ZMorphism.generator(MonotoneMap((1, 1, 2), 2))
 
 
+def test_shared_dag_hashes_once_per_node():
+    leaf = oriental.Leaf(MonotoneMap((1, 1), 2))
+    expr = leaf
+    for _ in range(60):
+        expr = oriental.Pasting(0, expr, expr)
+    start = time.perf_counter()
+    assert hash(expr) == hash(expr)
+    assert expr in {expr}
+    assert time.perf_counter() - start < 1.0
+
+
 def test_eliminate_pastings_keeps_sharing():
     # Each Pasting(0, e, e) becomes C(F_0(e', e'), face 1); rewritten node by
     # node of the unfolded tree, 40 levels would take 2**40 steps.
