@@ -6,131 +6,44 @@ loop-free bases, the omega-categories of cells built on them, the decidable
 membership test for morphisms between oriented simplexes, and the
 factorization of every such morphism into filler and pasting operations over
 plain monotone maps.
+
+The names below are loaded from their submodules on first use, so importing
+one submodule (as the command line does) loads no other.
 """
 
-from .chains import (
-    BasisElt,
-    Chain,
-    ChainMapTable,
-    apply_map,
-    basis_elements,
-    check_strongly_loopfree,
-    check_unital,
-    from_chain_map,
-    iterated_boundary_part,
-    loopfree_less,
-    to_chain_map,
-)
-from .errors import (
-    ArityError,
-    CellConditionError,
-    EnumerationLimitError,
-    InvalidExpressionError,
-    NotComposableError,
-    OsimplexError,
-    ParseError,
-    PreconditionError,
-)
-from .nu import (
-    Cell,
-    act,
-    atom,
-    check_atom_generation,
-    enumerate_cells,
-    from_set_pairs,
-    violations,
-)
-from .oriental import (
-    ComposeMap,
-    Expr,
-    Filler,
-    Leaf,
-    MembershipResult,
-    Pasting,
-    check_membership,
-    eliminate_pastings,
-    eval_expr,
-    expr_from_json,
-    factorize,
-    filler,
-    first_last,
-    is_oriental_morphism,
-    parse_expr,
-    pasting,
-    simplify,
-    split_finish,
-    split_middle,
-    split_start,
-    tail_decompose,
-)
-from .simplex import (
-    MonotoneMap,
-    compose,
-    degeneracy_generator,
-    enumerate_injective_into,
-    face_generator,
-    identity,
-    parse_map,
-)
-from .zdelta import ZMorphism, parse_zmorphism
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityError",
-    "BasisElt",
-    "Cell",
-    "CellConditionError",
-    "Chain",
-    "ChainMapTable",
-    "ComposeMap",
-    "EnumerationLimitError",
-    "Expr",
-    "Filler",
-    "InvalidExpressionError",
-    "Leaf",
-    "MembershipResult",
-    "MonotoneMap",
-    "NotComposableError",
-    "OsimplexError",
-    "ParseError",
-    "Pasting",
-    "PreconditionError",
-    "ZMorphism",
-    "act",
-    "apply_map",
-    "atom",
-    "basis_elements",
-    "check_atom_generation",
-    "check_membership",
-    "check_strongly_loopfree",
-    "check_unital",
-    "compose",
-    "degeneracy_generator",
-    "eliminate_pastings",
-    "enumerate_cells",
-    "enumerate_injective_into",
-    "eval_expr",
-    "expr_from_json",
-    "face_generator",
-    "factorize",
-    "filler",
-    "first_last",
-    "from_chain_map",
-    "from_set_pairs",
-    "identity",
-    "is_oriental_morphism",
-    "iterated_boundary_part",
-    "loopfree_less",
-    "parse_expr",
-    "parse_map",
-    "parse_zmorphism",
-    "pasting",
-    "simplify",
-    "split_finish",
-    "split_middle",
-    "split_start",
-    "tail_decompose",
-    "to_chain_map",
-    "violations",
-]
+# Public name -> the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "chains": "BasisElt Chain ChainMapTable apply_map basis_elements check_strongly_loopfree "
+        "check_unital from_chain_map iterated_boundary_part loopfree_less to_chain_map",
+        "errors": "ArityError CellConditionError EnumerationLimitError InvalidExpressionError "
+        "NotComposableError OsimplexError ParseError PreconditionError",
+        "nu": "Cell act atom check_atom_generation enumerate_cells from_set_pairs violations",
+        "oriental": "ComposeMap Expr Filler Leaf MembershipResult Pasting check_membership "
+        "eliminate_pastings eval_expr expr_from_json factorize filler first_last "
+        "is_oriental_morphism parse_expr pasting simplify split_finish split_middle split_start "
+        "tail_decompose",
+        "simplex": "MonotoneMap compose degeneracy_generator enumerate_injective_into "
+        "face_generator identity parse_map",
+        "zdelta": "ZMorphism parse_zmorphism",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,23 +7,23 @@ between integer combinations of monotone maps and chain maps, and the
 verification that the prescribed bases are unital and strongly loop-free.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
 from .errors import ArityError, PreconditionError
-from .simplex import MonotoneMap
+from .simplex import MonotoneMap, _Ordered
 from .zdelta import ZMorphism, _Combination, _sum_pairs
 
 
-@dataclass(frozen=True, order=True)
-class BasisElt:
+class BasisElt(_Ordered):
     """A basis element [a_0,...,a_q]: strictly increasing vertices, ambient n."""
 
-    vertices: tuple
-    ambient: int
+    _fields = ("vertices", "ambient")
+
+    def __init__(self, vertices, ambient):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "ambient", ambient)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.vertices, tuple):
@@ -48,6 +48,15 @@ class BasisElt:
         b = object.__new__(cls)
         b.__dict__["vertices"], b.__dict__["ambient"] = vertices, ambient
         return b
+
+    # Written out like MonotoneMap's: basis elements key the chain dicts.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.ambient) == (other.vertices, other.ambient)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.ambient))
 
     @property
     def dimension(self):

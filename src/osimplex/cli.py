@@ -4,17 +4,16 @@ cell enumeration, atom listing and basis verification.
 Inputs are given as argument strings; an argument of "-" reads standard
 input and "@path" reads the named file.  Inputs starting with "{" are parsed
 as JSON.  Exit codes: 0 success (and membership holds), 1 negative verdict,
-2 parse error, 3 precondition failure, 4 resource bound exceeded (including
-input nested too deeply to parse or evaluate).
+2 parse error, 3 precondition failure (and any unexpected error), 4 resource
+bound exceeded (including input nested too deeply to parse or evaluate).
+
+Each command imports the modules it needs when it runs, so one invocation
+loads only its own part of the library.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 
-from .chains import basis_elements, check_strongly_loopfree, check_unital
 from .errors import (
     ArityError,
     EnumerationLimitError,
@@ -23,29 +22,31 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .nu import Cell, atom, enumerate_cells
-from .oriental import check_membership, eval_expr, expr_from_json, factorize, parse_expr
-from .zdelta import ZMorphism, parse_zmorphism
 
 _ENUM_DEFAULT_BOUND = 3
 _BASIS_DEFAULT_BOUND = 2**13 - 1  # the basis of the complex on {0,...,12}
 
 
 def _read_source(arg):
-    if arg == "-":
-        return sys.stdin.read()
-    if arg.startswith("@"):
-        try:
+    try:
+        if arg == "-":
+            return sys.stdin.read()
+        if arg.startswith("@"):
             with open(arg[1:], "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read input file: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read input file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not text: {exc}") from exc
     return arg
 
 
 def _load_morphism(arg, n):
+    from .zdelta import ZMorphism, parse_zmorphism
+
     text = _read_source(arg).strip()
     if text.startswith("{"):
+        import json
         try:
             return ZMorphism.from_json(json.loads(text))
         except json.JSONDecodeError as exc:
@@ -56,8 +57,11 @@ def _load_morphism(arg, n):
 
 
 def _load_expression(arg, n):
+    from .oriental import expr_from_json, parse_expr
+
     text = _read_source(arg).strip()
     if text.startswith("{"):
+        import json
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -99,12 +103,15 @@ def _basis_size(args):
 
 def _emit(args, payload, text):
     if args.json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
 
 
 def _cmd_check(args):
+    from .oriental import check_membership
+
     x = _load_morphism(args.morphism, args.n)
     result = check_membership(x)
     shape = f"O({x.domain},{x.codomain})"
@@ -136,6 +143,8 @@ def _cmd_compose(args):
 
 
 def _cmd_factor(args):
+    from .oriental import eval_expr, factorize
+
     x = _load_morphism(args.morphism, args.n)
     expr = factorize(x)
     payload = {"n": x.codomain, "expr": expr.to_json()}
@@ -150,6 +159,8 @@ def _cmd_factor(args):
 
 
 def _cmd_eval(args):
+    from .oriental import eval_expr
+
     expr = _load_expression(args.expression, args.n)
     value = eval_expr(expr)
     _emit(args, value.to_json(), str(value))
@@ -157,11 +168,14 @@ def _cmd_eval(args):
 
 
 def _cmd_enumerate(args):
+    from .nu import enumerate_cells
+
     n = _size(args)
     bound = _ENUM_DEFAULT_BOUND if args.max_cells is None else n
     cells = enumerate_cells(n, bound=bound, max_cells=args.max_cells)
     ordered = sorted(cells, key=lambda c: (c.dimension, str(c)))
     if args.json:
+        import json
         print(
             json.dumps(
                 {"n": args.size, "count": len(ordered), "cells": [c.to_json() for c in ordered]},
@@ -177,8 +191,12 @@ def _cmd_enumerate(args):
 
 
 def _cmd_atoms(args):
+    from .chains import basis_elements
+    from .nu import atom
+
     elements = basis_elements(_basis_size(args))
     if args.json:
+        import json
         print(
             json.dumps(
                 {
@@ -199,6 +217,8 @@ def _cmd_atoms(args):
 
 
 def _cmd_verify_basis(args):
+    from .chains import check_strongly_loopfree, check_unital
+
     unital = bool(check_unital(_basis_size(args)))
     loopfree = check_strongly_loopfree(args.size)
     yes_no = {True: "yes", False: "no"}
@@ -286,6 +306,9 @@ def main(argv=None):
         return 3
     except OsimplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -9,8 +9,6 @@ the atoms, an exact enumerator at small n, the closure check that atoms
 generate everything, and the action of oriental morphisms on cells.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from .chains import Chain, basis_elements, iterated_boundary_part, to_chain_map

@@ -9,10 +9,6 @@ factorizes every such morphism into an expression tree over plain monotone
 maps.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import (
     ArityError,
     InvalidExpressionError,
@@ -21,8 +17,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .chains import _images
-from .simplex import MonotoneMap, face_generator
+from .simplex import MonotoneMap, _Frozen, face_generator
 from .zdelta import ZMorphism
 
 
@@ -30,8 +25,7 @@ from .zdelta import ZMorphism
 # membership
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(_Frozen):
     """Verdict of the membership test, with a witness on failure.
 
     On a nonnegativity failure, `witness_map` is an injective map f into the
@@ -40,11 +34,12 @@ class MembershipResult:
     the reason text.
     """
 
-    ok: bool
-    reason: str = ""
-    witness_map: MonotoneMap = None
-    witness_term: MonotoneMap = None
-    witness_coefficient: int = 0
+    _fields = ("ok", "reason", "witness_map", "witness_term", "witness_coefficient")
+
+    def __init__(self, ok, reason="", witness_map=None, witness_term=None,
+                 witness_coefficient=0):
+        self.__dict__.update(ok=ok, reason=reason, witness_map=witness_map,
+                             witness_term=witness_term, witness_coefficient=witness_coefficient)
 
     def __bool__(self):
         return self.ok
@@ -59,6 +54,8 @@ def check_membership(x):
     basis element by basis element in the order of enumerate_injective_into,
     and the first negative coefficient found is the witness.
     """
+    from .chains import _images  # here, so that evaluating needs no chains
+
     return _membership(x, _images(x))
 
 
@@ -295,7 +292,7 @@ class Expr:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return _expr_equal(self, other, set())
 
     def __hash__(self):
         # Children cache theirs too, so a shared DAG hashes once per node.
@@ -305,6 +302,25 @@ class Expr:
 
     def __repr__(self):
         return f"<Expr {self}>"
+
+
+def _expr_equal(a, b, proven):
+    """Structural equality of two expressions.  Unequal hashes settle it at
+    once, and `proven` holds the id pairs of the nodes already found equal
+    in this comparison, so two separately built DAGs are compared in one
+    walk over their distinct node pairs, not over the unfolded trees."""
+    if a is b:
+        return True
+    if type(a) is not type(b) or hash(a) != hash(b):
+        return False
+    pair = (id(a), id(b))
+    if pair in proven:
+        return True
+    for x, y in zip(a._key(), b._key()):
+        if not (_expr_equal(x, y, proven) if isinstance(x, Expr) else x == y):
+            return False
+    proven.add(pair)
+    return True
 
 
 class Leaf(Expr):

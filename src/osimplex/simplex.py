@@ -6,21 +6,70 @@ values together with its codomain.  Two maps with equal value tuples but
 different codomains are different morphisms and never compare equal.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from itertools import combinations
+from operator import ge, gt, le, lt
 
 from .errors import ArityError, ParseError
 
 
-@dataclass(frozen=True, order=True)
-class MonotoneMap:
+class _Frozen:
+    """Base of the immutable value classes, which behave like frozen
+    dataclasses without importing `dataclasses`: __init__ stores the fields
+    named in `_fields` without calling __setattr__, instances of one class
+    compare and hash as the tuple of those fields, and assignment and
+    deletion raise AttributeError."""
+
+    _fields = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _compare(op):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._astuple(), other._astuple())
+        return NotImplemented
+
+    return method
+
+
+class _Ordered(_Frozen):
+    """A _Frozen value ordered by its field tuple."""
+
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
+
+
+class MonotoneMap(_Ordered):
     """A morphism of the simplex category: values (f_0,...,f_m), codomain n."""
 
-    values: tuple
-    codomain: int
+    _fields = ("values", "codomain")
+
+    def __init__(self, values, codomain):
+        # As in a frozen dataclass: object.__setattr__ keeps the fields in
+        # the instance's inline values, which read faster than a __dict__.
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codomain", codomain)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.values, tuple):
@@ -45,6 +94,16 @@ class MonotoneMap:
         f = object.__new__(cls)
         f.__dict__["values"], f.__dict__["codomain"] = values, codomain
         return f
+
+    # Maps are dictionary keys on the hot paths, so these two are written
+    # out rather than built on _astuple.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.codomain) == (other.values, other.codomain)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values, self.codomain))
 
     @property
     def domain(self):

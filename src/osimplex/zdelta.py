@@ -8,8 +8,6 @@ group structure itself (normalization, sums, equality, printing) is the
 base class _Combination, which chains.Chain shares.
 """
 
-from __future__ import annotations
-
 import re
 from operator import attrgetter
 

@@ -1,5 +1,9 @@
+import io
 import json
 
+import pytest
+
+from osimplex import cli
 from osimplex.cli import main
 from osimplex.zdelta import parse_zmorphism
 
@@ -320,3 +324,34 @@ def test_verify_basis_basis_bound(capsys):
     assert code == 0
     assert out.strip() == "unital: yes; strongly loop-free: yes"
     _assert_parse_exit(*run(capsys, "verify-basis", "1", "--max-basis", "-1"))
+
+
+def test_check_binary_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe(0,1)\x80")
+    _assert_parse_exit(*run(capsys, "check", f"@{path}", "--n", "2"))
+
+
+def test_check_binary_stdin_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"(0,\xff1)"), encoding="utf-8"))
+    _assert_parse_exit(*run(capsys, "check", "-", "--n", "2"))
+
+
+def test_unexpected_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    code, out, err = run(capsys, "check", "(0,1)", "--n", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: RuntimeError: boom\n"
+
+
+def test_interrupts_are_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_check", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "(0,1)", "--n", "1"])

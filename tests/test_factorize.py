@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from osimplex.errors import InvalidExpressionError, ParseError, PreconditionError
@@ -169,3 +171,40 @@ def test_factorized_tree_roundtrips_as_text(rng):
         x = random_oriental(rng, rng.randint(0, 3), rng.randint(0, 3), steps=5)
         expr = factorize(x)
         assert parse_expr(str(expr), x.codomain) == expr
+
+
+def _doubled_pastings(k, values=(1, 1)):
+    """k nested pastings whose two operands are one shared node: a DAG of
+    k + 1 nodes that unfolds to a tree of 2^(k+1) - 1."""
+    expr = leaf(values, 1)
+    for _ in range(k):
+        expr = Pasting(0, expr, expr)
+    return expr
+
+
+def test_equality_of_shared_dags_walks_distinct_nodes():
+    a, b = _doubled_pastings(22), _doubled_pastings(22)
+    started = time.process_time()
+    assert a == b
+    assert time.process_time() - started < 0.5
+    # Equal left operands, unequal right ones.
+    c = Pasting(0, _doubled_pastings(21), _doubled_pastings(21, (0, 1)))
+    d = Pasting(0, _doubled_pastings(21), _doubled_pastings(21))
+    started = time.process_time()
+    assert c != d
+    assert time.process_time() - started < 0.5
+
+
+def test_equality_does_not_depend_on_sharing():
+    x, y = leaf((0, 1), 2), leaf((1, 2), 2)
+    shared = Pasting(0, x, y)
+    dag = Filler(1, shared, shared)
+    tree = Filler(1, Pasting(0, leaf((0, 1), 2), leaf((1, 2), 2)),
+                  Pasting(0, leaf((0, 1), 2), leaf((1, 2), 2)))
+    assert dag == tree and hash(dag) == hash(tree)
+    assert Filler(1, shared, Pasting(0, y, x)) != dag
+    assert Filler(0, shared, shared) != dag
+    assert Pasting(1, shared, shared) != dag
+    assert ComposeMap(dag, MonotoneMap((0, 2), 2)) == ComposeMap(tree, MonotoneMap((0, 2), 2))
+    assert ComposeMap(dag, MonotoneMap((0, 2), 2)) != ComposeMap(tree, MonotoneMap((0, 1), 2))
+    assert dag != str(dag)

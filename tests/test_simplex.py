@@ -137,3 +137,40 @@ def test_text_roundtrip():
 def test_construction_rejects_bool_values():
     with pytest.raises(ValueError):
         MonotoneMap((0, True), 1)
+
+
+def test_value_classes_behave_like_frozen_dataclasses():
+    from osimplex.chains import BasisElt
+    from osimplex.oriental import MembershipResult
+
+    f, g = MonotoneMap((0, 1), 2), MonotoneMap(values=[0, 2], codomain=2)
+    b, c = BasisElt((0, 1), 2), BasisElt(vertices=[0, 2], ambient=2)
+    result = MembershipResult(False, "why", f, g, -1)
+    assert g.values == (0, 2) and c.vertices == (0, 2)
+    assert hash(f) == hash(((0, 1), 2)) and hash(b) == hash(((0, 1), 2))
+    assert hash(result) == hash((False, "why", f, g, -1))
+    assert result == MembershipResult(ok=False, reason="why", witness_map=f, witness_term=g,
+                                      witness_coefficient=-1)
+    assert MembershipResult(True) == MembershipResult(ok=True, reason="") != result
+    for x, y in ((f, g), (b, c)):
+        assert x < y and x <= y and y > x and y >= x and x <= x and not x < x
+        assert sorted([y, x]) == [x, y]
+        assert x != y and x == type(x)(**vars(x))
+        with pytest.raises(TypeError):
+            x < (0, 1)
+    assert f != b and f != ((0, 1), 2)
+    with pytest.raises(TypeError):
+        result < result
+    assert repr(f) == "MonotoneMap((0, 1), 2)"
+    assert repr(b) == "BasisElt(vertices=(0, 1), ambient=2)"
+    assert repr(MembershipResult(True)) == (
+        "MembershipResult(ok=True, reason='', witness_map=None, witness_term=None, "
+        "witness_coefficient=0)"
+    )
+    for value, field in ((f, "values"), (b, "vertices"), (result, "ok")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            setattr(value, "other", None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
