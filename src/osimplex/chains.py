@@ -46,7 +46,8 @@ class BasisElt(_Ordered):
     def _make(cls, vertices, ambient):
         """A basis element from a vertex tuple already known to be valid; no checks."""
         b = object.__new__(cls)
-        b.__dict__["vertices"], b.__dict__["ambient"] = vertices, ambient
+        object.__setattr__(b, "vertices", vertices)
+        object.__setattr__(b, "ambient", ambient)
         return b
 
     # Written out like MonotoneMap's: basis elements key the chain dicts.

@@ -18,7 +18,7 @@ from .errors import (
     json_int,
 )
 from .simplex import MonotoneMap, _Frozen, face_generator
-from .zdelta import ZMorphism
+from .zdelta import ZMorphism, _repeated, _sum_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +100,42 @@ def _require_member(x, who):
 
 
 def _check_filler_pre(i, x, y):
+    """The value dicts of x and y, after the type, shape and index checks."""
     if not isinstance(x, ZMorphism) or not isinstance(y, ZMorphism):
         raise ArityError("filler and pasting act on combinations of monotone maps")
     x._check_shape(y)
-    m = x.domain
-    if not 0 <= i <= m - 1:
-        raise NotComposableError(f"index {i} out of range for domain {m}")
-    if x.face(i) != y.face(i + 1):
+    if not 0 <= i <= x.domain - 1:
+        raise NotComposableError(f"index {i} out of range for domain {x.domain}")
+    return _values(x), _values(y)
+
+
+def _values(x):
+    """The terms of a ZMorphism as a dict from value tuples to coefficients."""
+    return {f.values: c for f, c in x.terms.items()}
+
+
+def _face(x, i):
+    """Face i of the value dict x, summed as ZMorphism.face sums it."""
+    return _sum_pairs([(_repeated(a, i, 0), c) for a, c in x.items()])
+
+
+def _fused(i, x, y, up):
+    """The filler (up=1) or pasting (up=0) at i of the value dicts x and y as
+    unsummed pairs: the terms of x.degeneracy(i + 1), -x.face(i).degeneracy(i)
+    .degeneracy(i) and y.degeneracy(i), or of x, -x.face(i).degeneracy(i) and
+    y.  Each block has distinct keys, so their sum has the terms, in order,
+    of those repeated additions."""
+    face = _face(x, i)
+    if face != _face(y, i + 1):
         raise NotComposableError(
             f"face mismatch: face {i} of the left operand differs from "
             f"face {i + 1} of the right operand"
         )
+    return (
+        [(_repeated(a, i + 1, 1 + up), c) for a, c in x.items()]
+        + [(_repeated(a, i, 2 + up), -c) for a, c in face.items()]
+        + [(_repeated(a, i, 1 + up), c) for a, c in y.items()]
+    )
 
 
 def filler(i, x, y):
@@ -119,15 +144,15 @@ def filler(i, x, y):
     Defined when face i of x equals face i+1 of y; morphisms of oriented
     simplexes are closed under it.
     """
-    _check_filler_pre(i, x, y)
-    return x.degeneracy(i + 1) - x.face(i).degeneracy(i).degeneracy(i) + y.degeneracy(i)
+    pairs = _fused(i, *_check_filler_pre(i, x, y), 1)
+    return ZMorphism._summed(x.domain + 1, x.codomain, pairs)
 
 
 def pasting(i, x, y):
     """The pasting of x and y at i, in the same dimension; it equals face i+1
     of the corresponding filler."""
-    _check_filler_pre(i, x, y)
-    return x - x.face(i).degeneracy(i) + y
+    pairs = _fused(i, *_check_filler_pre(i, x, y), 0)
+    return ZMorphism._summed(x.domain, x.codomain, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +191,10 @@ def tail_decompose(x):
     return [ZMorphism(m - 1, n, bucket) for bucket in buckets]
 
 
-def _append_vertex(x, t):
-    """Extend every term of x by the final vertex t (termwise join)."""
-    items = {}
-    for f, c in x.terms.items():
-        items[MonotoneMap(f.values + (t,), x.codomain)] = c
-    return ZMorphism(x.domain + 1, x.codomain, items)
-
-
 def _vertex_image(x, k):
     """The composite of x with the inclusion of its first (k=0) or last
     (k=-1) vertex, as a dict v -> coef."""
-    out = {}
-    for f, c in x.terms.items():
-        v = f.values[k]
-        out[v] = out.get(v, 0) + c
-        if not out[v]:
-            del out[v]
-    return out
+    return _sum_pairs([(f.values[k], c) for f, c in x.terms.items()])
 
 
 def _check_split_terms(t, x, terms_ok, describe):
@@ -201,9 +212,8 @@ def _alpha_beta(x, r, t, pivot):
 
     pivot selects the entry whose comparison with t drives the case split:
     the entry after r for the start split, the final entry for the finish
-    split.  Returns (u, v) with x = pasting(r, u, v).
+    split.  Returns the value dicts (u, v) with x = pasting(r, u, v).
     """
-    m, n = x.domain, x.codomain
     alpha = {}
     beta = {}
     for f, c in x.terms.items():
@@ -214,12 +224,11 @@ def _alpha_beta(x, r, t, pivot):
         else:
             ua = a[:r] + (a[r], a[r]) + a[r + 2:]
             va = a
-        for target, key in ((alpha, ua), (beta, va)):
-            g = MonotoneMap(key, n)
-            target[g] = target.get(g, 0) + c
-    u = ZMorphism(m, n, alpha)
-    v = ZMorphism(m, n, beta)
-    if pasting(r, u, v) != x:
+        alpha[ua] = alpha.get(ua, 0) + c
+        beta[va] = beta.get(va, 0) + c
+    u = {a: c for a, c in alpha.items() if c}
+    v = {a: c for a, c in beta.items() if c}
+    if _sum_pairs(_fused(r, u, v, 0)) != _values(x):
         raise AssertionError("splitting failed to reassemble; input is not oriental")
     return u, v
 
@@ -232,9 +241,9 @@ def split_start(r, t, x):
         raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
     _check_split_terms(t, x, lambda a: a[r] < t, f"entry {r} must be below {t}")
     u, v = _alpha_beta(x, r, t, pivot=r + 1)
-    if filler(r, v.face(r + 2), v.face(r)) != v:
+    if _sum_pairs(_fused(r, _face(v, r + 2), _face(v, r), 1)) != v:
         raise AssertionError("right factor is not the filler of its faces")
-    return u, v
+    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
 
 
 def split_middle(t, x):
@@ -245,7 +254,8 @@ def split_middle(t, x):
     if m <= 0:
         raise PreconditionError("the middle split needs domain at least 1")
     _check_split_terms(t, x, lambda a: a[m - 1] < t, f"entry {m - 1} must be below {t}")
-    return _alpha_beta(x, m - 1, t, pivot=m)
+    u, v = _alpha_beta(x, m - 1, t, pivot=m)
+    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
 
 
 def split_finish(r, t, x):
@@ -261,9 +271,9 @@ def split_finish(r, t, x):
         f"entry {r + 1} must equal the last entry unless that entry is {t}",
     )
     u, v = _alpha_beta(x, r, t, pivot=x.domain)
-    if filler(r, u.face(r + 2), u.face(r)) != u:
+    if _sum_pairs(_fused(r, _face(u, r + 2), _face(u, r), 1)) != u:
         raise AssertionError("left factor is not the filler of its faces")
-    return u, v
+    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +448,21 @@ def expr_from_json(data, n):
                 expr_from_json(data["right"], n),
             )
         if op == "compose":
-            return ComposeMap(
-                expr_from_json(data["inner"], n),
-                _map_from_json(data, n),
-            )
+            inner = expr_from_json(data["inner"], n)
+            return ComposeMap(inner, _map_from_json(data, _domain(inner)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad expression object: {exc}") from exc
     raise ParseError(f"unknown expression op {op!r}")
+
+
+def _domain(expr):
+    """The domain of the value of expr, read off its leftmost path without
+    evaluating: the codomain that the map of a C(expr,(...)) node needs."""
+    up = 0
+    while isinstance(expr, _Node):
+        up += isinstance(expr, Filler)
+        expr = expr.left
+    return expr.map.domain + up
 
 
 def _map_from_json(data, n):
@@ -494,7 +512,7 @@ def _parse_expr(text, pos, n):
         pos = _expect(text, pos + 1, "(")
         inner, pos = _parse_expr(text, pos, n)
         pos = _expect(text, pos, ",")
-        leaf, pos = _parse_leaf(text, pos, n)
+        leaf, pos = _parse_leaf(text, pos, _domain(inner))
         pos = _expect(text, pos, ")")
         return ComposeMap(inner, leaf.map), pos
     if ch == "(":
@@ -575,12 +593,21 @@ def _simplify(expr, memo, table):
             i = node.index
             lv = left.evaluate()
             rv = right.evaluate()
-            if lv == rv.face(i + 1).degeneracy(i):
+            if _is_unit(lv, rv, i + 1, i):
                 node = right
-            elif rv == lv.face(i).degeneracy(i):
+            elif _is_unit(rv, lv, i, i):
                 node = left
     node = memo[id(expr)] = _cons(table, node)
     return node
+
+
+def _is_unit(x, y, j, i):
+    """x == y.face(j).degeneracy(i), for j = i or i + 1, on value tuples."""
+    if not 0 <= i < y.domain:
+        return x == y.face(j).degeneracy(i)  # raises the kernel's IndexError
+    return x._shape == y._shape and _values(x) == _sum_pairs(
+        [(_repeated(_repeated(f.values, j, 0), i, 2), c) for f, c in y.terms.items()]
+    )
 
 
 def eliminate_pastings(expr):

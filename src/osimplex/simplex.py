@@ -92,7 +92,8 @@ class MonotoneMap(_Ordered):
     def _make(cls, values, codomain):
         """A map from a values tuple already known to be valid; no checks."""
         f = object.__new__(cls)
-        f.__dict__["values"], f.__dict__["codomain"] = values, codomain
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "codomain", codomain)
         return f
 
     # Maps are dictionary keys on the hot paths, so these two are written

@@ -18,6 +18,13 @@ from .simplex import MonotoneMap, degeneracy_generator, face_generator
 _set = object.__setattr__
 
 
+def _repeated(a, i, k):
+    """The value tuple a with its entry i occurring k times: the values of
+    face i for k=0, a itself for k=1, degeneracy i for k=2 and degeneracy i
+    applied twice for k=3."""
+    return a[:i] + a[i:i + 1] * k + a[i + 1:]
+
+
 def _sum_pairs(pairs):
     """The dict of (key, nonzero coefficient) pairs summed in order with a
     zero sum dropped at once, as repeated addition does."""
@@ -241,7 +248,7 @@ class ZMorphism(_Combination):
         if self.domain <= 0 or not 0 <= i <= self.domain:
             face_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain - 1, self.codomain, (
-            (f.values[:i] + f.values[i + 1:], c) for f, c in self.terms.items()
+            (_repeated(f.values, i, 0), c) for f, c in self.terms.items()
         ))
 
     def degeneracy(self, i):
@@ -249,7 +256,7 @@ class ZMorphism(_Combination):
         if not 0 <= i <= self.domain:
             degeneracy_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain + 1, self.codomain, (
-            (f.values[:i + 1] + f.values[i:], c) for f, c in self.terms.items()
+            (_repeated(f.values, i, 2), c) for f, c in self.terms.items()
         ))
 
     def injective_part(self):

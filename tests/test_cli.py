@@ -94,6 +94,13 @@ def test_eval(capsys):
     assert out.strip() == "(0,1,1) - (1,1,1) + (1,1,2)"
 
 
+def test_eval_composite_map(capsys):
+    # The printed form of eliminate_pastings(factorize(x)) reads back.
+    code, out, _ = run(capsys, "eval", "C(F_0((0,1),(1,3)),(0,2))", "--n", "3")
+    assert code == 0
+    assert out.strip() == "(0,1) - (1,1) + (1,3)"
+
+
 def test_eval_bad_expression(capsys):
     code, _, err = run(capsys, "eval", "P_0((0,1),(0,1))", "--n", "2")
     assert code == 3

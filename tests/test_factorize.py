@@ -155,6 +155,28 @@ def test_expression_text_roundtrip():
         assert expr_from_json(expr.to_json(), 2) == expr
 
 
+def test_composite_maps_take_the_inner_domain_as_codomain(rng):
+    # The map of C(L,(...)) has the domain of L as its codomain, not n.
+    x = parse_zmorphism("(0,1) - (1,1) + (1,3)", 3)
+    tree = eliminate_pastings(factorize(x))
+    assert str(tree) == "C(F_0((0,1),(1,3)),(0,2))"
+    assert tree.map == MonotoneMap((0, 2), 2)
+    for read in (parse_expr(str(tree), 3), expr_from_json(tree.to_json(), 3)):
+        assert read == tree and eval_expr(read) == x
+    for _ in range(40):
+        x = random_oriental(rng, rng.randint(1, 3), rng.randint(1, 4), steps=6)
+        tree = eliminate_pastings(factorize(x, simplify_output=rng.random() < 0.5))
+        n = x.codomain
+        for read in (parse_expr(str(tree), n), expr_from_json(tree.to_json(), n)):
+            assert read == tree and eval_expr(read) == x
+    # A map value beyond the inner domain is not a map into it.
+    with pytest.raises(ParseError):
+        parse_expr("C(F_0((0,1),(1,3)),(0,3))", 3)
+    with pytest.raises(ParseError):
+        expr_from_json({"op": "compose", "inner": {"op": "map", "values": [0, 1]},
+                        "values": [0, 2]}, 3)
+
+
 def test_expression_parse_errors():
     with pytest.raises(ParseError):
         parse_expr("F_0((0,1)", 2)

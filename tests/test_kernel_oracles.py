@@ -22,9 +22,22 @@ from osimplex.chains import (
     map_from_pair,
     to_chain_map,
 )
-from osimplex.errors import ArityError
-from osimplex.oriental import MembershipResult, check_membership
+from osimplex.errors import ArityError, NotComposableError, PreconditionError
+from osimplex.oriental import (
+    MembershipResult,
+    _alpha_beta,
+    _check_split_terms,
+    _is_unit,
+    check_membership,
+    filler,
+    first_last,
+    pasting,
+    split_finish,
+    split_middle,
+    split_start,
+)
 from osimplex.simplex import (
+    MonotoneMap,
     compose,
     degeneracy_generator,
     enumerate_injective_into,
@@ -229,3 +242,265 @@ def test_apply_rejects_images_of_the_wrong_shape():
     table.images[edge] = Chain.zero(0, 2)
     with pytest.raises(ArityError):
         table.apply(Chain.of(edge))
+
+
+# Fillers, pastings, splits and the unit rule, as the repeated ZMorphism
+# arithmetic of their definitions.
+
+
+def reference_filler_pre(i, x, y):
+    if not isinstance(x, ZMorphism) or not isinstance(y, ZMorphism):
+        raise ArityError("filler and pasting act on combinations of monotone maps")
+    x._check_shape(y)
+    m = x.domain
+    if not 0 <= i <= m - 1:
+        raise NotComposableError(f"index {i} out of range for domain {m}")
+    if x.face(i) != y.face(i + 1):
+        raise NotComposableError(
+            f"face mismatch: face {i} of the left operand differs from "
+            f"face {i + 1} of the right operand"
+        )
+
+
+def reference_filler(i, x, y):
+    reference_filler_pre(i, x, y)
+    return x.degeneracy(i + 1) - x.face(i).degeneracy(i).degeneracy(i) + y.degeneracy(i)
+
+
+def reference_pasting(i, x, y):
+    reference_filler_pre(i, x, y)
+    return x - x.face(i).degeneracy(i) + y
+
+
+def reference_alpha_beta(x, r, t, pivot):
+    m, n = x.domain, x.codomain
+    alpha = {}
+    beta = {}
+    for f, c in x.terms.items():
+        a = f.values
+        if a[pivot] < t:
+            ua = a
+            va = a[:r] + (a[r + 1], a[r + 1]) + a[r + 2:]
+        else:
+            ua = a[:r] + (a[r], a[r]) + a[r + 2:]
+            va = a
+        for target, key in ((alpha, ua), (beta, va)):
+            g = MonotoneMap(key, n)
+            target[g] = target.get(g, 0) + c
+    u = ZMorphism(m, n, alpha)
+    v = ZMorphism(m, n, beta)
+    if reference_pasting(r, u, v) != x:
+        raise AssertionError("splitting failed to reassemble; input is not oriental")
+    return u, v
+
+
+def reference_split(kind, r, t, x):
+    """split_start, split_middle or split_finish with the reference
+    arithmetic; the precondition checks are the library's, unchanged."""
+    if kind == "middle":
+        m = x.domain
+        _check_split_terms(t, x, lambda a: a[m - 1] < t, f"entry {m - 1} must be below {t}")
+        return reference_alpha_beta(x, m - 1, t, pivot=m)
+    if kind == "start":
+        _check_split_terms(t, x, lambda a: a[r] < t, f"entry {r} must be below {t}")
+        u, v = reference_alpha_beta(x, r, t, pivot=r + 1)
+        if reference_filler(r, v.face(r + 2), v.face(r)) != v:
+            raise AssertionError("right factor is not the filler of its faces")
+        return u, v
+    _check_split_terms(
+        t, x,
+        lambda a: a[r + 1] == a[-1] or a[-1] == t,
+        f"entry {r + 1} must equal the last entry unless that entry is {t}",
+    )
+    u, v = reference_alpha_beta(x, r, t, pivot=x.domain)
+    if reference_filler(r, u.face(r + 2), u.face(r)) != u:
+        raise AssertionError("left factor is not the filler of its faces")
+    return u, v
+
+
+def reference_unit(lv, rv, i):
+    if lv == rv.face(i + 1).degeneracy(i):
+        return "right"
+    if rv == lv.face(i).degeneracy(i):
+        return "left"
+    return None
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives: its value with the terms in their order (values
+    compared as lists of (key, coefficient)), or its exception type and
+    message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return [
+        (v.domain, v.codomain, list(v.terms.items())) if isinstance(v, ZMorphism) else v
+        for v in values
+    ]
+
+
+def library_unit(lv, rv, i):
+    if _is_unit(lv, rv, i + 1, i):
+        return "right"
+    if _is_unit(rv, lv, i, i):
+        return "left"
+    return None
+
+
+def filler_pairs(seed, count):
+    """(i, x, y) with face i of x equal to face i+1 of y: the faces i+2 and i
+    of members and of arbitrary combinations z at domain <= 5."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        d = rng.randint(2, 5)
+        if k % 2:
+            z = random_oriental(rng, d, rng.randint(1, 4), max_domain=5)
+        else:
+            z = random_zmorphism(rng, d, rng.randint(0, 3), max_terms=8, lo=-3, hi=3)
+        i = rng.randint(0, d - 2)
+        out.append((i, z.face(i + 2), z.face(i)))
+    return out
+
+
+FILLER_PAIRS = filler_pairs(707, 300)
+
+
+def test_fused_filler_and_pasting_match_repeated_arithmetic():
+    cancelled = 0
+    for i, x, y in FILLER_PAIRS:
+        for fn, ref in ((filler, reference_filler), (pasting, reference_pasting)):
+            got = outcome(fn, i, x, y)
+            assert got == outcome(ref, i, x, y), (fn.__name__, i, str(x), str(y))
+            assert isinstance(got, list)
+        cancelled += len(x.face(i).terms) < len(x.terms)
+    # The sample has faces whose terms collide, where the order can differ.
+    assert cancelled >= 30
+
+
+def test_filler_and_pasting_reject_bad_operands_as_before():
+    i, x, y = next((i, x, y) for i, x, y in FILLER_PAIRS if x.face(i).terms)
+    m, n = x.domain, x.codomain
+    other = ZMorphism.generator(MonotoneMap((0,) * (m + 2), n))
+    moved = x + ZMorphism.generator(MonotoneMap((n,) * (m + 1), n))
+    cases = [
+        (i, x.terms, y),                # not a ZMorphism
+        (i, x, MonotoneMap((0,) * (m + 1), n)),
+        (i, x, other),                  # shape mismatch
+        (-1, x, y),                     # index out of range
+        (m, x, y),
+        (i, moved, y),                  # face mismatch
+    ]
+    expected = [ArityError, ArityError, ArityError, NotComposableError, NotComposableError,
+                NotComposableError]
+    for (j, a, b), exc in zip(cases, expected):
+        for fn, ref in ((filler, reference_filler), (pasting, reference_pasting)):
+            got = outcome(fn, j, a, b)
+            assert got == outcome(ref, j, a, b)
+            assert got[0] is exc, got
+
+
+def split_inputs(seed, count):
+    """The inputs of every split that factorize makes on seeded members, with
+    their (kind, r, t), walked as _factorize_new walks them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x = random_oriental(rng, rng.randint(1, 5), rng.randint(1, 5), max_domain=5)
+        m = x.domain
+        _, t = first_last(x)
+        if x.coefficient(MonotoneMap((t,) * (m + 1), x.codomain)):
+            continue
+        current = x
+        for r in range(m - 1):
+            out.append(("start", r, t, current))
+            current = split_start(r, t, current)[0]
+        out.append(("middle", m - 1, t, current))
+        current = split_middle(t, current)[1]
+        for r in range(m - 2, -1, -1):
+            out.append(("finish", r, t, current))
+            current = split_finish(r, t, current)[1]
+    return out
+
+
+def library_split(kind, r, t, x):
+    if kind == "start":
+        return split_start(r, t, x)
+    if kind == "middle":
+        return split_middle(t, x)
+    return split_finish(r, t, x)
+
+
+def test_splits_match_repeated_arithmetic_on_members():
+    inputs = split_inputs(808, 100)
+    assert len(inputs) >= 150
+    assert {kind for kind, *_ in inputs} == {"start", "middle", "finish"}
+    for kind, r, t, x in inputs:
+        got = outcome(library_split, kind, r, t, x)
+        assert isinstance(got, list)
+        assert got == outcome(reference_split, kind, r, t, x), (kind, r, t, str(x))
+
+
+def test_alpha_beta_matches_reference_on_arbitrary_combinations():
+    # The reassembly check holds for any combination (each term's two parts
+    # cancel in pasting's middle block), so both sides always return.
+    rng = random.Random(909)
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        x = random_zmorphism(rng, m, rng.randint(1, 4), max_terms=6, lo=-2, hi=2)
+        r = rng.randint(0, m - 1)
+        t = rng.randint(0, x.codomain)
+        pivot = rng.choice((r + 1, m))
+        ref = outcome(reference_alpha_beta, x, r, t, pivot)
+        # The library returns the value dicts of u and v.
+        got = [[(MonotoneMap(a, x.codomain), c) for a, c in d.items()]
+               for d in _alpha_beta(x, r, t, pivot)]
+        assert got == [terms for _, _, terms in ref], (r, t, pivot, str(x))
+
+
+def test_split_preconditions_fail_as_before():
+    rng = random.Random(1010)
+    for _ in range(300):
+        m = rng.randint(0, 4)
+        x = random_zmorphism(rng, m, rng.randint(0, 3), max_terms=5)
+        kind = rng.choice(("start", "middle", "finish"))
+        r = rng.randint(0, max(m - 2, 0))
+        t = rng.randint(0, x.codomain)
+        got = outcome(library_split, kind, r, t, x)
+        if kind != "middle" and not 0 <= r <= m - 2 or kind == "middle" and m <= 0:
+            assert got[0] is PreconditionError
+            continue
+        assert got == outcome(reference_split, kind, r, t, x)
+
+
+def test_unit_rule_matches_reference():
+    rng = random.Random(1111)
+    units = {"left": 0, "right": 0}
+    for k in range(600):
+        d = rng.randint(1, 5)
+        n = rng.randint(0, 3)
+        i = rng.randint(-1, d)
+        if k % 3 == 0:
+            lv = random_zmorphism(rng, d, n, max_terms=6, lo=-2, hi=2)
+            rv = random_zmorphism(rng, d, n, max_terms=6, lo=-2, hi=2)
+        else:
+            # A unit on one side, of an arbitrary combination or of a member.
+            base = (random_zmorphism(rng, d, n, max_terms=6, lo=-2, hi=2) if k % 2
+                    else random_oriental(rng, d, n, max_domain=5))
+            i = rng.randint(0, d - 1)
+            if k % 3 == 1:
+                lv, rv = base.face(i + 1).degeneracy(i), base
+            else:
+                lv, rv = base, base.face(i).degeneracy(i)
+        got = outcome(library_unit, lv, rv, i)
+        assert got == outcome(reference_unit, lv, rv, i), (i, str(lv), str(rv))
+        if got[0] in units:
+            units[got[0]] += 1
+    assert min(units.values()) >= 50
+    # Shapes that differ never match, and bad indices raise as before.
+    x = ZMorphism.generator(MonotoneMap((0, 1), 2))
+    y = ZMorphism.generator(MonotoneMap((0, 1, 2), 2))
+    for lv, rv, i in ((x, y, 0), (y, x, 0), (x, x, 1), (x, x, -1), (y, y, 5)):
+        assert outcome(library_unit, lv, rv, i) == outcome(reference_unit, lv, rv, i)

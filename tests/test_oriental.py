@@ -169,9 +169,12 @@ def test_tail_decompose_examples():
         tail_decompose(gen((0,), 2))
 
 
-def test_tail_decompose_reassembles(rng):
-    from osimplex.oriental import _append_vertex
+def _append_vertex(x, t):
+    """Extend every term of x by the final vertex t (termwise join)."""
+    return ZMorphism(x.domain + 1, x.codomain, [(f.values + (t,), c) for f, c in x.terms.items()])
 
+
+def test_tail_decompose_reassembles(rng):
     for _ in range(100):
         x = random_oriental(rng, rng.randint(1, 3), rng.randint(0, 3), steps=5)
         tails = tail_decompose(x)

@@ -174,3 +174,18 @@ def test_value_classes_behave_like_frozen_dataclasses():
             setattr(value, "other", None)
         with pytest.raises(AttributeError):
             delattr(value, field)
+
+
+def test_trusted_constructors_build_the_same_values():
+    # _make stores the fields as __init__ does, without the checks.
+    from osimplex.chains import BasisElt
+
+    for cls, fields in ((MonotoneMap, ((0, 1, 1), 2)), (BasisElt, ((0, 2), 3))):
+        made, built = cls._make(*fields), cls(*fields)
+        assert made == built and hash(made) == hash(built)
+        assert vars(made) == vars(built) == dict(zip(cls._fields, fields))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(made, name, None)
+        with pytest.raises(AttributeError):
+            setattr(made, "other", None)
