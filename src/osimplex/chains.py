@@ -72,11 +72,7 @@ def basis_elements(n, dimension=None):
     if type(n) is not int or dimension is not None and dimension < 0:
         raise ValueError("n must be an integer and the dimension nonnegative")
     dims = range(n + 1) if dimension is None else [dimension]
-    out = []
-    for q in dims:
-        for verts in combinations(range(n + 1), q + 1):
-            out.append(BasisElt._make(verts, n))
-    return out
+    return [BasisElt._make(verts, n) for q in dims for verts in combinations(range(n + 1), q + 1)]
 
 
 class Chain(_Combination):
@@ -251,7 +247,8 @@ def apply_map(f, b):
         raise ArityError(
             f"basis element {b} lives in {b.ambient}, map has domain {f.domain}"
         )
-    return _image([(f.values, 1)], b, f.codomain)
+    image = _image_terms([(f.values, 1)], b.vertices)
+    return Chain._summed(b.dimension, f.codomain, image.items())
 
 
 class ChainMapTable:
@@ -281,13 +278,9 @@ class ChainMapTable:
                     del out[e]
         return Chain._make(chain.dimension, self.n, out)
 
-    def validate(self):
-        """Raise unless the table is a well-formed chain map.
-
-        Checks the key set, image shapes, commutation with the boundary and
-        constancy of the augmentation on vertex images (the induced integer
-        multiplier on the augmentation module).
-        """
+    def _check_shapes(self):
+        """Raise unless the keys are the basis on m and each image has its
+        key's dimension, in ambient n; returns that basis as a set."""
         expected = set(basis_elements(self.m))
         if set(self.images) != expected:
             raise PreconditionError(
@@ -296,22 +289,22 @@ class ChainMapTable:
         for b, chain in self.images.items():
             if chain.dimension != b.dimension or chain.ambient != self.n:
                 raise PreconditionError(f"image of {b} has the wrong shape")
-        degrees = {
-            self.images[b].augmentation()
-            for b in expected
-            if b.dimension == 0
-        }
-        if len(degrees) > 1:
+        return expected
+
+    def validate(self):
+        """Raise unless the table is a well-formed chain map.
+
+        Checks the key set, image shapes, commutation with the boundary and
+        constancy of the augmentation on vertex images (the induced integer
+        multiplier on the augmentation module).
+        """
+        expected = self._check_shapes()
+        if len({self.images[b].augmentation() for b in expected if b.dimension == 0}) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
         for b in expected:
-            if b.dimension == 0:
-                continue
-            unit = Chain._make(b.dimension, self.m, {b: 1})
-            via_faces = self.apply(unit.boundary())
-            via_image = self.images[b].boundary()
-            if via_faces != via_image:
+            if b.dimension and self.apply(Chain.of(b).boundary()) != self.images[b].boundary():
                 raise PreconditionError(f"table does not commute with the boundary at {b}")
 
     def compose(self, other):
@@ -343,30 +336,38 @@ class ChainMapTable:
         }
 
 
-def _image(terms, b, n):
-    """The image of the basis element b under the chain map of the
-    combination with the given (map values, coefficient) terms and codomain
-    n, summed in term order with a zero sum dropped at once."""
-    verts = b.vertices
+def _image_terms(terms, verts):
+    """The image of the basis element with vertices verts under the chain map
+    of the combination with these (map values, coefficient) terms, as {vertex
+    tuple: coefficient} summed in term order with a zero sum dropped at once."""
     k = len(verts)
     pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
     # The image is non-decreasing, so it is a basis element when distinct.
-    return Chain._summed(k - 1, n, (
+    return _sum_pairs(
         (image, c) for values, c in terms if len(set(image := pick(values))) == k
-    ))
+    )
 
 
 def _images(x):
-    """Yield (b, image of b under the chain map of x) for every basis element
-    b of the domain of x, in the order of basis_elements."""
+    """Yield (b, _image_terms of b under x) for every basis element b of the
+    domain of x, in the order of basis_elements."""
     terms = [(f.values, c) for f, c in x.terms.items()]
     for b in basis_elements(x.domain):
-        yield b, _image(terms, b, x.codomain)
+        yield b, _image_terms(terms, b.vertices)
+
+
+def _table(x, images):
+    """The chain map of x from its _images pairs."""
+    n = x.codomain
+    return ChainMapTable(x.domain, n, (
+        (b, Chain._make(b.dimension, n, {BasisElt._make(v, n): c for v, c in image.items()}))
+        for b, image in images
+    ))
 
 
 def to_chain_map(x):
     """The chain map induced by an integer combination of monotone maps."""
-    return ChainMapTable(x.domain, x.codomain, _images(x))
+    return _table(x, _images(x))
 
 
 def map_from_pair(a, b, m):
@@ -392,22 +393,23 @@ def from_chain_map(table):
     lexicographically.  Solving from the top dimension down, in lexicographic
     order within each dimension, therefore reads off one coefficient per pair
     without disturbing the rows already matched.
+
+    Only the key set and image shapes are checked before solving.  The image
+    of any combination is a chain map, so validate() runs only when the
+    answer does not map back to the table, to reject it with its message.
     """
-    table.validate()
+    table._check_shapes()
     m, n = table.m, table.n
     acc = {}
     for q in range(m, -1, -1):
-        starters = [
-            a
-            for a in basis_elements(m, q)
-            if a.vertices[0] == 0
-        ]
-        for a in sorted(starters, key=lambda e: e.vertices):
-            have = _image([(f.values, c) for f, c in acc.items()], a, n)
-            need = table.images[a] - have
+        for rest in combinations(range(1, m + 1), q):
+            a = BasisElt._make((0,) + rest, m)
+            terms = [(f.values, c) for f, c in acc.items()]
+            need = table.images[a] - Chain._summed(q, n, _image_terms(terms, a.vertices).items())
             # Each pair (a, b) gives a different map, so no term is hit twice.
             acc.update((map_from_pair(a, b, m), c) for b, c in need.terms.items())
     acc = ZMorphism._make(m, n, acc)
     if to_chain_map(acc) != table:
+        table.validate()
         raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

@@ -11,7 +11,7 @@ generate everything, and the action of oriental morphisms on cells.
 
 from itertools import product
 
-from .chains import Chain, basis_elements, iterated_boundary_part, to_chain_map
+from .chains import Chain, _images, _table, basis_elements, iterated_boundary_part
 from .errors import (
     ArityError,
     CellConditionError,
@@ -359,11 +359,10 @@ def act(x, cell):
         raise ArityError(
             f"cell lives over {cell.ambient}, morphism has domain {x.domain}"
         )
-    table = to_chain_map(x)
-    result = _membership(x, table.images.items())
+    images = list(_images(x))
+    result = _membership(x, images)
     if not result.ok:
-        raise PreconditionError(
-            f"only oriental morphisms act on cells: {result.reason}"
-        )
+        raise PreconditionError(f"only oriental morphisms act on cells: {result.reason}")
+    table = _table(x, images)
     pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
     return Cell.from_pairs(x.codomain, pairs)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from osimplex.errors import ArityError, PreconditionError
 from osimplex.simplex import MonotoneMap, identity
 from osimplex.zdelta import ZMorphism, parse_zmorphism
 
-from conftest import random_zmorphism
+from conftest import random_oriental, random_zmorphism
 from test_zdelta import zmorphisms
 
 
@@ -58,6 +60,86 @@ def test_tables_validate():
     missing = ChainMapTable(1, 2, {})
     with pytest.raises(PreconditionError):
         missing.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(zmorphisms())
+def test_every_combination_gives_a_valid_table(x):
+    # from_chain_map relies on this: the image of any combination is a chain
+    # map, whatever its coefficient sum and degenerate terms, so a table it
+    # reproduces is valid.
+    to_chain_map(x).validate()
+
+
+def test_seeded_combinations_give_valid_tables(rng):
+    sums, degenerate = set(), 0
+    for _ in range(200):
+        x = random_zmorphism(rng, rng.randint(0, 4), rng.randint(0, 4), max_terms=6)
+        to_chain_map(x).validate()
+        sums.add(x.coefficient_sum())
+        degenerate += any(not f.is_injective() for f in x.terms)
+    assert len(sums - {1}) >= 10 and degenerate >= 50
+
+
+def _edited_table(edit):
+    table = to_chain_map(parse_zmorphism("(0,1,2) - (1,1,2) + (1,2,2)", 2))
+    edit(table.images)
+    return table
+
+
+V0, E01 = BasisElt((0,), 2), BasisElt((0, 1), 2)
+
+INVALID_TABLES = {
+    "missing key": (lambda im: im.pop(E01), "table must cover exactly"),
+    "extra key": (
+        lambda im: im.update({BasisElt((0, 1, 2, 3), 3): Chain.zero(3, 2)}),
+        "table must cover exactly",
+    ),
+    "wrong-shape image": (
+        lambda im: im.update({E01: Chain.zero(0, 2)}),
+        "image of [0,1] has the wrong shape",
+    ),
+    "image in another codomain": (
+        lambda im: im.update({E01: Chain.zero(1, 3)}),
+        "image of [0,1] has the wrong shape",
+    ),
+    "inconsistent vertex augmentation": (
+        lambda im: im.update({V0: 2 * im[V0]}),
+        "vertex images have inconsistent augmentation",
+    ),
+    "non-commuting image": (
+        lambda im: im.update({E01: Chain.zero(1, 2)}),
+        "table does not commute with the boundary at",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_TABLES))
+def test_from_chain_map_rejects_invalid_tables_as_validate_does(case):
+    edit, message = INVALID_TABLES[case]
+    table = _edited_table(edit)
+    with pytest.raises(PreconditionError) as expected:
+        table.validate()
+    with pytest.raises(PreconditionError) as got:
+        from_chain_map(table)
+    assert type(got.value) is type(expected.value) is PreconditionError
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(message)
+
+
+def test_from_chain_map_makes_no_boundary_calls_on_a_valid_table(monkeypatch):
+    # Counted rather than timed: the round trip itself proves a valid table
+    # valid, so the boundary checks of validate never run.
+    x = random_oriental(random.Random(55), 5, 5, max_domain=5)
+    assert x.domain == 5
+    table = to_chain_map(x)
+    calls = []
+    boundary = Chain.boundary
+    monkeypatch.setattr(Chain, "boundary", lambda self: calls.append(self) or boundary(self))
+    assert from_chain_map(table) == x
+    assert calls == []
+    table.validate()
+    assert calls  # the counter sees the checks that validate makes
 
 
 def test_map_from_pair_bijection():

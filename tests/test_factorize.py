@@ -42,6 +42,25 @@ def test_eval_reports_node_path():
     assert "right" in str(info.value)
 
 
+def test_simplify_rejects_a_bad_pasting_index_as_eval_does():
+    # Indices out of range for one or both operands, at the root and nested.
+    trees = [
+        Pasting(5, leaf((0, 1), 2), leaf((0, 1), 2)),
+        Pasting(-1, leaf((0, 1), 2), leaf((0, 1), 2)),
+        Pasting(1, leaf((0, 1), 2), leaf((0, 1), 2)),
+        Pasting(1, leaf((0, 1), 2), leaf((0, 1, 2), 2)),
+        Pasting(1, leaf((0, 1, 2), 2), leaf((0, 1), 2)),
+    ]
+    trees.append(Pasting(0, trees[0], leaf((0, 1), 2)))
+    for tree in trees:
+        outcomes = []
+        for fn in (simplify, eval_expr):
+            with pytest.raises(Exception) as info:
+                fn(tree)
+            outcomes.append(type(info.value))
+        assert outcomes == [InvalidExpressionError] * 2, str(tree)
+
+
 def test_factorize_constant():
     for m in range(4):
         x = ZMorphism.generator(MonotoneMap((1,) * (m + 1), 3))

@@ -21,6 +21,7 @@ from osimplex.nu import (
     from_set_pairs,
     violations,
 )
+from osimplex.oriental import check_membership
 from osimplex.zdelta import parse_zmorphism
 
 from conftest import random_oriental
@@ -261,6 +262,17 @@ def test_act_examples():
         act(parse_zmorphism("2*(0,1) - (1,1)", 2), a01)
     with pytest.raises(ArityError):
         act(x, atom(BasisElt((0,), 2)))
+
+
+def test_act_rejects_a_non_member_with_the_membership_reason():
+    cell = atom(BasisElt((0, 1, 2), 2))
+    for text in ("2*(0,1,2) - (1,1,2)", "(0,1,2) - (0,2,2) + (0,0,2)", "(0,1,2) + (1,2,2)"):
+        x = parse_zmorphism(text, 2)
+        result = check_membership(x)
+        assert not result.ok
+        with pytest.raises(PreconditionError) as info:
+            act(x, cell)
+        assert str(info.value) == f"only oriental morphisms act on cells: {result.reason}"
 
 
 def test_act_functorial(rng):
