@@ -72,7 +72,11 @@ def basis_elements(n, dimension=None):
     if type(n) is not int or dimension is not None and dimension < 0:
         raise ValueError("n must be an integer and the dimension nonnegative")
     dims = range(n + 1) if dimension is None else [dimension]
-    return [BasisElt._make(verts, n) for q in dims for verts in combinations(range(n + 1), q + 1)]
+    out = []
+    for q in dims:
+        for verts in combinations(range(n + 1), q + 1):
+            out.append(BasisElt._make(verts, n))
+    return out
 
 
 class Chain(_Combination):
@@ -299,12 +303,22 @@ class ChainMapTable:
         multiplier on the augmentation module).
         """
         expected = self._check_shapes()
-        if len({self.images[b].augmentation() for b in expected if b.dimension == 0}) > 1:
+        degrees = {
+            self.images[b].augmentation()
+            for b in expected
+            if b.dimension == 0
+        }
+        if len(degrees) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
         for b in expected:
-            if b.dimension and self.apply(Chain.of(b).boundary()) != self.images[b].boundary():
+            if b.dimension == 0:
+                continue
+            unit = Chain._make(b.dimension, self.m, {b: 1})
+            via_faces = self.apply(unit.boundary())
+            via_image = self.images[b].boundary()
+            if via_faces != via_image:
                 raise PreconditionError(f"table does not commute with the boundary at {b}")
 
     def compose(self, other):

@@ -362,7 +362,9 @@ def act(x, cell):
     images = list(_images(x))
     result = _membership(x, images)
     if not result.ok:
-        raise PreconditionError(f"only oriental morphisms act on cells: {result.reason}")
+        raise PreconditionError(
+            f"only oriental morphisms act on cells: {result.reason}"
+        )
     table = _table(x, images)
     pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
     return Cell.from_pairs(x.codomain, pairs)

@@ -227,7 +227,9 @@ def _alpha_beta(x, r, t, pivot):
             va = a
         alpha[ua] = alpha.get(ua, 0) + c
         beta[va] = beta.get(va, 0) + c
-    return {a: c for a, c in alpha.items() if c}, {a: c for a, c in beta.items() if c}
+    u = {a: c for a, c in alpha.items() if c}
+    v = {a: c for a, c in beta.items() if c}
+    return u, v
 
 
 def split_start(r, t, x):
@@ -592,7 +594,8 @@ def _simplify(expr, memo, table):
             lv = left.evaluate()
             rv = right.evaluate()
             if not 0 <= i < min(lv.domain, rv.domain):
-                node.evaluate()  # raises: the index is out of range for pasting
+                node.evaluate()  # pasting rejects the index
+                raise AssertionError("pasting accepted an out-of-range index")
             if _is_unit(lv, rv, i + 1, i):
                 node = right
             elif _is_unit(rv, lv, i, i):
@@ -602,7 +605,8 @@ def _simplify(expr, memo, table):
 
 
 def _is_unit(x, y, j, i):
-    """x == y.face(j).degeneracy(i) on value tuples, for j in (i, i + 1), 0 <= i < y.domain."""
+    """x == y.face(j).degeneracy(i) on value tuples, for j = i or i + 1 and
+    0 <= i < y.domain."""
     return x._shape == y._shape and _values(x) == _sum_pairs(
         [(_repeated(_repeated(f.values, j, 0), i, 2), c) for f, c in y.terms.items()]
     )

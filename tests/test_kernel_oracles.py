@@ -456,11 +456,14 @@ def test_alpha_beta_matches_reference_on_arbitrary_combinations():
         t = rng.randint(0, x.codomain)
         for pivot in (r + 1, m):
             ref = outcome(reference_alpha_beta, x, r, t, pivot)
-            # The library returns the value dicts of u and v.
-            u, v = (ZMorphism(m, x.codomain, d) for d in _alpha_beta(x, r, t, pivot))
-            assert pasting(r, u, v) == x, (r, t, pivot, str(x))
-            got = [(m, x.codomain, list(w.terms.items())) for w in (u, v)]
+            # The library returns the value dicts of u and v, compared raw so
+            # that a zero coefficient left in either fails.
+            parts = _alpha_beta(x, r, t, pivot)
+            got = [(m, x.codomain, [(MonotoneMap(a, x.codomain), c) for a, c in d.items()])
+                   for d in parts]
             assert got == ref, (r, t, pivot, str(x))
+            u, v = (ZMorphism(m, x.codomain, d) for d in parts)
+            assert pasting(r, u, v) == x, (r, t, pivot, str(x))
 
 
 def test_split_preconditions_fail_as_before():
