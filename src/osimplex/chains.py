@@ -291,7 +291,7 @@ class ChainMapTable:
                 f"table must cover exactly the basis of the complex on {self.m}"
             )
         for b, chain in self.images.items():
-            if chain.dimension != b.dimension or chain.ambient != self.n:
+            if not isinstance(chain, Chain) or chain._shape != (b.dimension, self.n):
                 raise PreconditionError(f"image of {b} has the wrong shape")
         return expected
 

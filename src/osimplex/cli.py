@@ -5,7 +5,7 @@ Inputs are given as argument strings; an argument of "-" reads standard
 input and "@path" reads the named file.  Inputs starting with "{" are parsed
 as JSON.  Exit codes: 0 success (and membership holds), 1 negative verdict,
 2 parse error, 3 precondition failure (and any unexpected error), 4 resource
-bound exceeded (including input nested too deeply to parse or evaluate).
+bound exceeded (including JSON input nested too deeply to read).
 
 Each command imports the modules it needs when it runs, so one invocation
 loads only its own part of the library.

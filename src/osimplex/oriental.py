@@ -284,52 +284,95 @@ class Expr:
 
     Trees may share subtrees.  A node caches its value the first time it is
     evaluated, so evaluating a tree costs one combine per distinct node.
-    """
+    Every walk is a loop, so no depth is too deep.  Each kind of node gives
+    its children in `kids`, named by `labels`, and one method per job."""
 
+    kids = ()
+    labels = ()
     _value = None
     _hash = None
+    _printed = None
 
     def evaluate(self):
-        return self._evaluate(())
-
-    def _evaluate(self, path):
         if self._value is None:
-            self._value = self._compute(path)
+            for node in _postorder(self, lambda node: node._value is not None):
+                try:
+                    node._value = node._compute()
+                except (NotComposableError, ArityError) as exc:
+                    raise InvalidExpressionError(str(exc), _route(self, node)) from exc
         return self._value
 
     def to_json(self):
-        raise NotImplementedError
+        """The JSON object of the tree; a shared subtree gives one shared dict."""
+        dicts = {}
+        for node in _postorder(self, lambda node: id(node) in dicts):
+            dicts[id(node)] = node._json(*[dicts[id(kid)] for kid in node.kids])
+        return dicts[id(self)]
 
     def __eq__(self, other):
-        return _expr_equal(self, other, set())
+        """Structural equality.  Unequal hashes settle it at once; else both
+        trees are hash-consed into one table, where equal trees are one node."""
+        if not isinstance(other, Expr) or hash(self) != hash(other):
+            return False
+        table = {}
+        return _rewrite(self, _same, {}, table) is _rewrite(other, _same, {}, table)
 
     def __hash__(self):
-        # Children cache theirs too, so a shared DAG hashes once per node.
+        # Cached per node, children first, so a shared DAG hashes once per node.
         if self._hash is None:
-            self._hash = hash(self._key())
+            for node in _postorder(self, lambda node: node._hash is not None):
+                node._hash = hash(node._key(_same))
         return self._hash
+
+    def __str__(self):
+        # Tokens of constant size, cached per node, joined once over the
+        # unfolded tree: a string per node would be O(depth^2) bytes.
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            else:
+                if item._printed is None:
+                    item._printed = item._tokens()
+                stack.extend(item._printed)
+        return "".join(out)
 
     def __repr__(self):
         return f"<Expr {self}>"
 
 
-def _expr_equal(a, b, proven):
-    """Structural equality of two expressions.  Unequal hashes settle it at
-    once, and `proven` holds the id pairs of the nodes already found equal
-    in this comparison, so two separately built DAGs are compared in one
-    walk over their distinct node pairs, not over the unfolded trees."""
-    if a is b:
-        return True
-    if type(a) is not type(b) or hash(a) != hash(b):
-        return False
-    pair = (id(a), id(b))
-    if pair in proven:
-        return True
-    for x, y in zip(a._key(), b._key()):
-        if not (_expr_equal(x, y, proven) if isinstance(x, Expr) else x == y):
-            return False
-    proven.add(pair)
-    return True
+def _postorder(root, done):
+    """Yield the nodes under root, children first and left to right, as a
+    depth-first walk leaves them, entering no node that done accepts; the
+    caller makes done accept each node it is given, so it is given once."""
+    if done(root):
+        return
+    stack = [(root, iter(root.kids))]
+    while stack:
+        node, kids = stack[-1]
+        for kid in kids:
+            if not done(kid):
+                stack.append((kid, iter(kid.kids)))
+                break
+        else:
+            stack.pop()
+            yield node
+
+
+def _route(root, target):
+    """The labels on the route by which evaluate reached target, failing:
+    the children left of the route have values by then, its nodes none."""
+    route = []
+    while root is not target:
+        label, root = next(pair for pair in zip(root.labels, root.kids) if pair[1]._value is None)
+        route.append(label)
+    return route
+
+
+def _map_text(f):
+    return "(" + ",".join(map(str, f.values)) + ")"
 
 
 class Leaf(Expr):
@@ -338,65 +381,63 @@ class Leaf(Expr):
     def __init__(self, f):
         self.map = f
 
-    def _key(self):
+    def _key(self, kid_key):
         return ("leaf", self.map)
 
-    def _compute(self, path):
+    def _rebuilt(self, memo):
+        return self
+
+    def _compute(self):
         return ZMorphism.generator(self.map)
 
-    def __str__(self):
-        return "(" + ",".join(str(v) for v in self.map.values) + ")"
+    def _tokens(self):
+        return (_map_text(self.map),)
 
-    def to_json(self):
+    def _json(self):
         return {"op": "map", "values": list(self.map.values)}
 
 
 class _Node(Expr):
     tag = None
     symbol = None
+    labels = ("left", "right")
 
     def __init__(self, index, left, right):
         self.index = index
         self.left = left
         self.right = right
+        self.kids = (left, right)
 
-    def _key(self):
-        return (self.tag, self.index, self.left, self.right)
+    def _key(self, kid_key):
+        return (self.tag, self.index, kid_key(self.left), kid_key(self.right))
 
-    def _compute(self, path):
-        lv = self.left._evaluate(path + ("left",))
-        rv = self.right._evaluate(path + ("right",))
-        try:
-            return self._combine(lv, rv)
-        except (NotComposableError, ArityError) as exc:
-            raise InvalidExpressionError(str(exc), path) from exc
+    def _compute(self):
+        return self._combine(self.index, self.left._value, self.right._value)
 
-    def __str__(self):
-        return f"{self.symbol}_{self.index}({self.left},{self.right})"
+    def _rebuilt(self, memo):
+        left = memo[id(self.left)]
+        right = memo[id(self.right)]
+        if left is self.left and right is self.right:
+            return self
+        return type(self)(self.index, left, right)
 
-    def to_json(self):
-        return {
-            "op": self.tag,
-            "index": self.index,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
+    def _tokens(self):
+        return (")", self.right, ",", self.left, f"{self.symbol}_{self.index}(")
+
+    def _json(self, left, right):
+        return {"op": self.tag, "index": self.index, "left": left, "right": right}
 
 
 class Filler(_Node):
     tag = "filler"
     symbol = "F"
-
-    def _combine(self, lv, rv):
-        return filler(self.index, lv, rv)
+    _combine = staticmethod(filler)
 
 
 class Pasting(_Node):
     tag = "pasting"
     symbol = "P"
-
-    def _combine(self, lv, rv):
-        return pasting(self.index, lv, rv)
+    _combine = staticmethod(pasting)
 
 
 class ComposeMap(Expr):
@@ -406,26 +447,28 @@ class ComposeMap(Expr):
     never emits it.
     """
 
+    labels = ("inner",)
+
     def __init__(self, inner, f):
         self.inner = inner
         self.map = f
+        self.kids = (inner,)
 
-    def _key(self):
-        return ("compose", self.inner, self.map)
+    def _key(self, kid_key):
+        return ("compose", kid_key(self.inner), self.map)
 
-    def _compute(self, path):
-        value = self.inner._evaluate(path + ("inner",))
-        try:
-            return value.compose(ZMorphism.generator(self.map))
-        except ArityError as exc:
-            raise InvalidExpressionError(str(exc), path) from exc
+    def _rebuilt(self, memo):
+        inner = memo[id(self.inner)]
+        return self if inner is self.inner else ComposeMap(inner, self.map)
 
-    def __str__(self):
-        body = "(" + ",".join(str(v) for v in self.map.values) + ")"
-        return f"C({self.inner},{body})"
+    def _compute(self):
+        return self.inner._value.compose(ZMorphism.generator(self.map))
 
-    def to_json(self):
-        return {"op": "compose", "inner": self.inner.to_json(), "values": list(self.map.values)}
+    def _tokens(self):
+        return ("," + _map_text(self.map) + ")", self.inner, "C(")
+
+    def _json(self, inner):
+        return {"op": "compose", "inner": inner, "values": list(self.map.values)}
 
 
 def eval_expr(expr):
@@ -435,6 +478,7 @@ def eval_expr(expr):
 
 
 def expr_from_json(data, n):
+    # Recursive, as json.loads is: deep JSON ends in RecursionError either way.
     try:
         op = data["op"]
         if op == "map":
@@ -469,55 +513,59 @@ def _map_from_json(data, n):
 
 
 def parse_expr(text, n):
-    """Parse the rendering "F_i(L,R)" / "P_i(L,R)" / "C(L,(...))" / "(f0,...)"."""
-    expr, pos = _parse_expr(text, 0, n)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos:]!r}", pos)
-    return expr
+    """Parse the rendering "F_i(L,R)" / "P_i(L,R)" / "C(L,(...))" / "(f0,...)".
+    Open nodes are kept on a list, as [class, index, children so far]."""
+    open_nodes = []
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos >= len(text):
+            raise ParseError("unexpected end of expression", pos)
+        ch = text[pos]
+        if ch in ("F", "P"):
+            if text[pos + 1:pos + 2] != "_":
+                raise ParseError("expected '_' after node tag", pos + 1)
+            start = pos = pos + 2
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if start == pos:
+                raise ParseError("expected a node index", pos)
+            open_nodes.append([Filler if ch == "F" else Pasting, int(text[start:pos])])
+            pos = _expect(text, pos, "(")
+            continue
+        if ch == "C":
+            open_nodes.append([ComposeMap, None])
+            pos = _expect(text, pos + 1, "(")
+            continue
+        if ch != "(":
+            raise ParseError(f"unexpected character {ch!r}", pos)
+        expr, pos = _parse_leaf(text, pos, n)
+        # Close every open node that expr completes.
+        while open_nodes:
+            node = open_nodes[-1]
+            node.append(expr)
+            if node[0] is ComposeMap:
+                pos = _expect(text, pos, ",")
+                leaf, pos = _parse_leaf(text, pos, _domain(expr))
+                expr = ComposeMap(expr, leaf.map)
+            elif len(node) == 3:
+                pos = _expect(text, pos, ",")
+                break
+            else:
+                expr = node[0](node[1], node[2], node[3])
+            pos = _expect(text, pos, ")")
+            open_nodes.pop()
+        else:
+            pos = _skip_ws(text, pos)
+            if pos != len(text):
+                raise ParseError(f"trailing input {text[pos:]!r}", pos)
+            return expr
 
 
 def _skip_ws(text, pos):
     while pos < len(text) and text[pos].isspace():
         pos += 1
     return pos
-
-
-def _parse_expr(text, pos, n):
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise ParseError("unexpected end of expression", pos)
-    ch = text[pos]
-    if ch in ("F", "P"):
-        cls = Filler if ch == "F" else Pasting
-        pos += 1
-        if pos >= len(text) or text[pos] != "_":
-            raise ParseError("expected '_' after node tag", pos)
-        pos += 1
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected a node index", pos)
-        index = int(text[start:pos])
-        pos = _expect(text, pos, "(")
-        left, pos = _parse_expr(text, pos, n)
-        pos = _expect(text, pos, ",")
-        right, pos = _parse_expr(text, pos, n)
-        pos = _expect(text, pos, ")")
-        return cls(index, left, right), pos
-    if ch == "C":
-        pos = _expect(text, pos + 1, "(")
-        inner, pos = _parse_expr(text, pos, n)
-        pos = _expect(text, pos, ",")
-        leaf, pos = _parse_leaf(text, pos, _domain(inner))
-        pos = _expect(text, pos, ")")
-        return ComposeMap(inner, leaf.map), pos
-    if ch == "(":
-        leaf, pos = _parse_leaf(text, pos, n)
-        return leaf, pos
-    raise ParseError(f"unexpected character {ch!r}", pos)
 
 
 def _expect(text, pos, token):
@@ -548,59 +596,48 @@ def _parse_leaf(text, pos, n):
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# rewriting and factorization
 
 
-def simplify(expr):
-    """Drop pasting nodes whose one operand is the degenerate unit of the
-    other; the evaluation is unchanged.  Shared subtrees stay shared.  A bad
-    pasting index raises that node's InvalidExpressionError."""
-    return _simplify(expr, {}, {})
+def _same(node):
+    return node
 
 
 def _cons(table, node):
     """Hash-consing: the node of table with the structure of node, which is
     added if new.  The children of node must come from table, so equal
     subtrees built against one table are one object, evaluated once."""
-    if isinstance(node, Leaf):
-        key = node.map
-    elif isinstance(node, ComposeMap):
-        key = ("compose", id(node.inner), node.map)
-    else:
-        key = (node.tag, node.index, id(node.left), id(node.right))
-    return table.setdefault(key, node)
+    return table.setdefault(node._key(id), node)
 
 
-def _simplify(expr, memo, table):
-    """simplify with a memo keyed by node identity, so each distinct node of
-    a shared tree is rewritten once, and a hash-consing table for the result."""
-    done = memo.get(id(expr))
-    if done is not None:
-        return done
-    if isinstance(expr, Leaf):
-        node = expr
-    elif isinstance(expr, ComposeMap):
-        inner = _simplify(expr.inner, memo, table)
-        node = expr if inner is expr.inner else ComposeMap(inner, expr.map)
-    else:
-        left = _simplify(expr.left, memo, table)
-        right = _simplify(expr.right, memo, table)
-        if left is expr.left and right is expr.right:
-            node = expr
-        else:
-            node = type(expr)(expr.index, left, right)
-        if isinstance(node, Pasting):
-            i = node.index
-            lv = left.evaluate()
-            rv = right.evaluate()
-            if not 0 <= i < min(lv.domain, rv.domain):
-                node.evaluate()  # pasting rejects the index
-                raise AssertionError("pasting accepted an out-of-range index")
-            if _is_unit(lv, rv, i + 1, i):
-                node = right
-            elif _is_unit(rv, lv, i, i):
-                node = left
-    node = memo[id(expr)] = _cons(table, node)
+def _rewrite(expr, step, memo, table):
+    """Rewrite expr bottom-up: each distinct node not in memo, which maps
+    nodes by identity to their results, is rebuilt on its children's
+    results (or kept, if they are its own), passed to step and hash-consed."""
+    for node in _postorder(expr, lambda node: id(node) in memo):
+        memo[id(node)] = _cons(table, step(node._rebuilt(memo)))
+    return memo[id(expr)]
+
+
+def simplify(expr):
+    """Drop pasting nodes whose one operand is the degenerate unit of the
+    other; the evaluation is unchanged.  Shared subtrees stay shared.  The
+    input is evaluated first, so a bad tree raises eval_expr's error."""
+    expr.evaluate()
+    return _rewrite(expr, _drop_unit, {}, {})
+
+
+def _drop_unit(node):
+    """The unit rule on one node of a valid tree, whose pasting index is
+    therefore in range."""
+    if isinstance(node, Pasting):
+        i = node.index
+        lv = node.left.evaluate()
+        rv = node.right.evaluate()
+        if _is_unit(lv, rv, i + 1, i):
+            return node.right
+        if _is_unit(rv, lv, i, i):
+            return node.left
     return node
 
 
@@ -616,31 +653,15 @@ def eliminate_pastings(expr):
     """Rewrite every pasting node as a face of the corresponding filler, so
     the tree uses fillers and composition with monotone maps only.  Shared
     subtrees stay shared."""
-    return _eliminate(expr, {}, {})
+    table = {}
 
+    def step(node):
+        if not isinstance(node, Pasting):
+            return node
+        inner = _cons(table, Filler(node.index, node.left, node.right))
+        return ComposeMap(inner, face_generator(node.index + 1, inner.evaluate().domain))
 
-def _eliminate(expr, memo, table):
-    """eliminate_pastings with a memo keyed by node identity, so each
-    distinct node is rewritten and evaluated once, and a hash-consing table
-    for the result."""
-    done = memo.get(id(expr))
-    if done is not None:
-        return done
-    if isinstance(expr, Leaf):
-        node = expr
-    elif isinstance(expr, ComposeMap):
-        node = ComposeMap(_eliminate(expr.inner, memo, table), expr.map)
-    else:
-        left = _eliminate(expr.left, memo, table)
-        right = _eliminate(expr.right, memo, table)
-        if isinstance(expr, Pasting):
-            inner = _cons(table, Filler(expr.index, left, right))
-            m = inner.evaluate().domain
-            node = ComposeMap(inner, face_generator(expr.index + 1, m))
-        else:
-            node = type(expr)(expr.index, left, right)
-    node = memo[id(expr)] = _cons(table, node)
-    return node
+    return _rewrite(expr, step, {}, table)
 
 
 def factorize(x, simplify_output=True):
@@ -662,25 +683,25 @@ def factorize(x, simplify_output=True):
     evaluates back to x.
     """
     table = {}
-    expr = _factorize_member(x, {}, table)
+    expr = _factorize_member(x, {}, {}, table)
     if simplify_output:
-        expr = _simplify(expr, {}, table)
+        expr = _rewrite(expr, _drop_unit, {}, table)
     if expr.evaluate() != x:
         raise AssertionError("factorization failed to reproduce its input")
     return expr
 
 
-def _factorize_member(x, memo, table):
+def _factorize_member(x, memo, appended, table):
     """The factorization of x, looked up in or added to memo, which maps the
-    inputs already factorized in this call to their trees; every node is
-    built through the hash-consing table of the call."""
+    inputs already factorized in this call to their trees; appended holds
+    the _append_to_leaves memo for each t, and table hash-conses every node."""
     expr = memo.get(x)
     if expr is None:
-        expr = memo[x] = _factorize_new(x, memo, table)
+        expr = memo[x] = _factorize_new(x, memo, appended, table)
     return expr
 
 
-def _factorize_new(x, memo, table):
+def _factorize_new(x, memo, appended, table):
     _require_member(x, "factorize")
     m = x.domain
     _, t = first_last(x)
@@ -698,7 +719,7 @@ def _factorize_new(x, memo, table):
     current = x
     for r in range(0, m - 1):
         current, v = split_start(r, t, current)
-        node = _factorize_filler(r, v, memo, table)
+        node = _factorize_filler(r, v, memo, appended, table)
         start_fillers.append((r, node))
 
     # The top-position split lowers the greatest vertex of the left factor.
@@ -706,20 +727,20 @@ def _factorize_new(x, memo, table):
     _, t_left = first_last(left)
     if t_left >= t:
         raise AssertionError("middle split did not lower the greatest vertex")
-    left_tree = _factorize_member(left, memo, table)
+    left_tree = _factorize_member(left, memo, appended, table)
 
     # Fillers split off on the left, top position downward.
     finish_fillers = []
     for r in range(m - 2, -1, -1):
         u, current = split_finish(r, t, current)
-        node = _factorize_filler(r, u, memo, table)
+        node = _factorize_filler(r, u, memo, appended, table)
         finish_fillers.append((r, node))
 
     # The residue ends at t everywhere; recurse one domain down and append t.
     if any(f.values[-1] != t for f in current.terms):
         raise AssertionError("residue has a term not ending at the greatest vertex")
-    below = _factorize_member(current.face(m), memo, table)
-    residue_tree = _append_to_leaves(below, t, {}, table)
+    below = _factorize_member(current.face(m), memo, appended, table)
+    residue_tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
     if residue_tree.evaluate() != current:
         raise AssertionError("residue reconstruction failed")
 
@@ -732,10 +753,10 @@ def _factorize_new(x, memo, table):
     return tree
 
 
-def _factorize_filler(r, v, memo, table):
+def _factorize_filler(r, v, memo, appended, table):
     """The filler node at r of the factorizations of the outer faces of v."""
-    left = _factorize_member(v.face(r + 2), memo, table)
-    return _cons(table, Filler(r, left, _factorize_member(v.face(r), memo, table)))
+    left = _factorize_member(v.face(r + 2), memo, appended, table)
+    return _cons(table, Filler(r, left, _factorize_member(v.face(r), memo, appended, table)))
 
 
 def _append_to_leaves(expr, t, memo, table):
@@ -745,18 +766,12 @@ def _append_to_leaves(expr, t, memo, table):
     memo maps the nodes of expr already rewritten to their results, by
     identity, so shared subtrees stay shared; new nodes go through table.
     """
-    done = memo.get(id(expr))
-    if done is not None:
-        return done
-    if isinstance(expr, Leaf):
-        node = Leaf(MonotoneMap(expr.map.values + (t,), expr.map.codomain))
-    elif isinstance(expr, ComposeMap):
-        raise AssertionError("plain factorizations contain no composition nodes")
-    else:
-        node = type(expr)(
-            expr.index,
-            _append_to_leaves(expr.left, t, memo, table),
-            _append_to_leaves(expr.right, t, memo, table),
-        )
-    node = memo[id(expr)] = _cons(table, node)
-    return node
+
+    def step(node):
+        if isinstance(node, ComposeMap):
+            raise AssertionError("plain factorizations contain no composition nodes")
+        if isinstance(node, Leaf):
+            return Leaf(MonotoneMap(node.map.values + (t,), node.map.codomain))
+        return node
+
+    return _rewrite(expr, step, memo, table)

@@ -103,6 +103,18 @@ INVALID_TABLES = {
         lambda im: im.update({E01: Chain.zero(1, 3)}),
         "image of [0,1] has the wrong shape",
     ),
+    "image that is None": (
+        lambda im: im.update({E01: None}),
+        "image of [0,1] has the wrong shape",
+    ),
+    "image that is an int": (
+        lambda im: im.update({E01: 3}),
+        "image of [0,1] has the wrong shape",
+    ),
+    "image that is a ZMorphism": (
+        lambda im: im.update({E01: ZMorphism.generator(MonotoneMap((0, 1), 2))}),
+        "image of [0,1] has the wrong shape",
+    ),
     "inconsistent vertex augmentation": (
         lambda im: im.update({V0: 2 * im[V0]}),
         "vertex images have inconsistent augmentation",

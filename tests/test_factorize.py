@@ -57,8 +57,10 @@ def test_simplify_rejects_a_bad_pasting_index_as_eval_does():
         for fn in (simplify, eval_expr):
             with pytest.raises(Exception) as info:
                 fn(tree)
-            outcomes.append(type(info.value))
-        assert outcomes == [InvalidExpressionError] * 2, str(tree)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1], str(tree)
+        assert outcomes[0][0] is InvalidExpressionError, str(tree)
+    assert outcomes[0][1].endswith("(node left)")
 
 
 def test_factorize_constant():
