@@ -155,6 +155,28 @@ def _faces(terms):
     )
 
 
+def _part_tower(p, k, sign):
+    """The 0..k-fold parts of the chosen sign of [0,...,p], as a list of
+    {position tuple: coefficient} dicts: each boundary is summed as
+    Chain.boundary sums it and split as boundary_parts splits it."""
+    s = -1 if sign == "-" else 1
+    tower = [{tuple(range(p + 1)): 1}]
+    for _ in range(k):
+        d = _sum_pairs(_faces(tower[-1].items()))
+        tower.append({v: s * c for v, c in d.items() if s * c > 0})
+    return tower
+
+
+def _relabelled(b, terms, q):
+    """The q-chain of the position tuples of a _part_tower level, position i
+    read as vertex i of b.  An injective monotone map commutes with the
+    boundary and keeps its signs, so this is the same part of b."""
+    verts, n = b.vertices, b.ambient
+    return Chain._make(q, n, {
+        BasisElt._make(tuple([verts[i] for i in pos]), n): c for pos, c in terms.items()
+    })
+
+
 def iterated_boundary_part(b, k, sign):
     """Apply the chosen boundary part k times to a basis element.
 
@@ -163,20 +185,10 @@ def iterated_boundary_part(b, k, sign):
     """
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
-    if not 0 <= k <= b.dimension:
-        raise PreconditionError(
-            f"iteration count {k} out of range for dimension {b.dimension}"
-        )
-    # The parts are kept as {vertex tuple: coefficient}: the boundary is
-    # summed as Chain.boundary sums it and split as boundary_parts splits it.
-    terms = {b.vertices: 1}
-    for _ in range(k):
-        d = _sum_pairs(_faces(terms.items()))
-        if sign == "-":
-            terms = {v: -c for v, c in d.items() if c < 0}
-        else:
-            terms = {v: c for v, c in d.items() if c > 0}
-    return Chain._summed(b.dimension - k, b.ambient, terms.items())
+    p = b.dimension
+    if not 0 <= k <= p:
+        raise PreconditionError(f"iteration count {k} out of range for dimension {p}")
+    return _relabelled(b, _part_tower(p, k, sign)[k], p - k)
 
 
 class UnitalityReport:
@@ -198,10 +210,12 @@ def check_unital(n):
     """Check that both fully iterated boundary parts of every basis element
     have augmentation 1; returns a truthy/falsy report listing failures."""
     failures = []
+    ends = {}  # p -> the p-fold negative and positive parts of [0,...,p]
     for b in basis_elements(n):
         p = b.dimension
-        eps_minus = iterated_boundary_part(b, p, "-").augmentation()
-        eps_plus = iterated_boundary_part(b, p, "+").augmentation()
+        if p not in ends:
+            ends[p] = [_part_tower(p, p, sign)[p] for sign in "-+"]
+        eps_minus, eps_plus = (_relabelled(b, end, 0).augmentation() for end in ends[p])
         if eps_minus != 1 or eps_plus != 1:
             failures.append((b, eps_minus, eps_plus))
     return UnitalityReport(n, failures)
@@ -221,26 +235,30 @@ def loopfree_less(a, b):
 
 
 def _lf_less(av, bv):
-    if av[0] != bv[0]:
-        return av[0] < bv[0]
-    if len(av) == 1:
-        return True
-    if len(bv) == 1:
-        return False
-    return _lf_less(bv[1:], av[1:])
+    # Each step drops the common first vertex and swaps the tails.
+    i = 0
+    while av[i] == bv[i]:
+        if len(av) == i + 1:
+            return True
+        if len(bv) == i + 1:
+            return False
+        av, bv = bv, av
+        i += 1
+    return av[i] < bv[i]
 
 
 def check_strongly_loopfree(n):
     """Check that the recursive total order places every negative boundary
     term below its element and every positive term above it."""
-    for b in basis_elements(n):
-        if b.dimension == 0:
-            continue
-        for face, c in Chain.of(b).boundary().terms.items():
-            if c < 0 and not loopfree_less(face, b):
-                return False
-            if c > 0 and not loopfree_less(b, face):
-                return False
+    if type(n) is not int:
+        raise ValueError("n must be an integer and the dimension nonnegative")
+    for p in range(1, n + 1):
+        for verts in combinations(range(n + 1), p + 1):
+            # Face i of a single element has boundary coefficient (-1)^i.
+            for i in range(p + 1):
+                face = verts[:i] + verts[i + 1:]
+                if not (_lf_less(face, verts) if i & 1 else _lf_less(verts, face)):
+                    return False
     return True
 
 
@@ -423,7 +441,8 @@ def from_chain_map(table):
             # Each pair (a, b) gives a different map, so no term is hit twice.
             acc.update((map_from_pair(a, b, m), c) for b, c in need.terms.items())
     acc = ZMorphism._make(m, n, acc)
-    if to_chain_map(acc) != table:
+    if any(image != {e.vertices: c for e, c in table.images[b].terms.items()}
+           for b, image in _images(acc)):
         table.validate()
         raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

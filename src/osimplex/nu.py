@@ -11,7 +11,7 @@ generate everything, and the action of oriental morphisms on cells.
 
 from itertools import product
 
-from .chains import Chain, _images, _table, basis_elements, iterated_boundary_part
+from .chains import Chain, _images, _part_tower, _relabelled, _table, basis_elements
 from .errors import (
     ArityError,
     CellConditionError,
@@ -198,10 +198,8 @@ def atom(b):
     """The canonical cell of a basis element: the element on top of its
     iterated boundary parts."""
     p = b.dimension
-    pairs = [
-        (iterated_boundary_part(b, p - q, "-"), iterated_boundary_part(b, p - q, "+"))
-        for q in range(p + 1)
-    ]
+    towers = [_part_tower(p, p, sign) for sign in "-+"]
+    pairs = [tuple(_relabelled(b, tower[p - q], q) for tower in towers) for q in range(p + 1)]
     return Cell.from_pairs(b.ambient, pairs)
 
 
