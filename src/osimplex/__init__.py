@@ -24,13 +24,13 @@ _SUBMODULE = {
         "errors": "ArityError CellConditionError EnumerationLimitError InvalidExpressionError "
         "NotComposableError OsimplexError ParseError PreconditionError",
         "nu": "Cell act atom check_atom_generation enumerate_cells from_set_pairs violations",
-        "oriental": "ComposeMap Expr Filler Leaf MembershipResult Pasting check_membership "
-        "eliminate_pastings eval_expr expr_from_json factorize filler first_last "
-        "is_oriental_morphism parse_expr pasting simplify split_finish split_middle split_start "
-        "tail_decompose",
+        "oriental": "ComposeMap Expr Filler Leaf Pasting eliminate_pastings eval_expr "
+        "expr_from_json factorize filler first_last parse_expr pasting simplify split_finish "
+        "split_middle split_start tail_decompose",
         "simplex": "MonotoneMap compose degeneracy_generator enumerate_injective_into "
         "face_generator identity parse_map",
-        "zdelta": "ZMorphism parse_zmorphism",
+        "zdelta": "MembershipResult ZMorphism check_membership is_oriental_morphism "
+        "parse_zmorphism",
     }.items()
     for name in names.split()
 }

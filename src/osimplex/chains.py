@@ -8,11 +8,11 @@ verification that the prescribed bases are unital and strongly loop-free.
 """
 
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import ArityError, PreconditionError
 from .simplex import MonotoneMap, _Ordered
-from .zdelta import ZMorphism, _Combination, _sum_pairs
+from .zdelta import ZMorphism, _Combination, _image_terms, _images, _sum_pairs
 
 
 class BasisElt(_Ordered):
@@ -368,32 +368,13 @@ class ChainMapTable:
         }
 
 
-def _image_terms(terms, verts):
-    """The image of the basis element with vertices verts under the chain map
-    of the combination with these (map values, coefficient) terms, as {vertex
-    tuple: coefficient} summed in term order with a zero sum dropped at once."""
-    k = len(verts)
-    pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
-    # The image is non-decreasing, so it is a basis element when distinct.
-    return _sum_pairs(
-        (image, c) for values, c in terms if len(set(image := pick(values))) == k
-    )
-
-
-def _images(x):
-    """Yield (b, _image_terms of b under x) for every basis element b of the
-    domain of x, in the order of basis_elements."""
-    terms = [(f.values, c) for f, c in x.terms.items()]
-    for b in basis_elements(x.domain):
-        yield b, _image_terms(terms, b.vertices)
-
-
 def _table(x, images):
-    """The chain map of x from its _images pairs."""
-    n = x.codomain
-    return ChainMapTable(x.domain, n, (
-        (b, Chain._make(b.dimension, n, {BasisElt._make(v, n): c for v, c in image.items()}))
-        for b, image in images
+    """The chain map of x from its zdelta._images pairs."""
+    m, n = x.domain, x.codomain
+    return ChainMapTable(m, n, (
+        (BasisElt._make(verts, m),
+         Chain._make(len(verts) - 1, n, {BasisElt._make(v, n): c for v, c in image.items()}))
+        for verts, image in images
     ))
 
 
@@ -441,8 +422,9 @@ def from_chain_map(table):
             # Each pair (a, b) gives a different map, so no term is hit twice.
             acc.update((map_from_pair(a, b, m), c) for b, c in need.terms.items())
     acc = ZMorphism._make(m, n, acc)
-    if any(image != {e.vertices: c for e, c in table.images[b].terms.items()}
-           for b, image in _images(acc)):
-        table.validate()
-        raise AssertionError("chain-map inversion failed to reproduce the table")
+    for verts, image in _images(acc):
+        want = table.images[BasisElt._make(verts, m)].terms
+        if image != {e.vertices: c for e, c in want.items()}:
+            table.validate()
+            raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

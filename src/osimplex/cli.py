@@ -110,7 +110,7 @@ def _emit(args, payload, text):
 
 
 def _cmd_check(args):
-    from .oriental import check_membership
+    from .zdelta import check_membership
 
     x = _load_morphism(args.morphism, args.n)
     result = check_membership(x)

@@ -11,7 +11,7 @@ generate everything, and the action of oriental morphisms on cells.
 
 from itertools import product
 
-from .chains import Chain, _images, _part_tower, _relabelled, _table, basis_elements
+from .chains import Chain, _part_tower, _relabelled, _table, basis_elements
 from .errors import (
     ArityError,
     CellConditionError,
@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .oriental import _membership
+from .zdelta import _images, _membership
 
 
 def violations(n, pairs):

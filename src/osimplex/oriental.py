@@ -3,10 +3,10 @@
 A combination x of monotone maps with codomain n and domain m is a morphism
 of oriented simplexes exactly when its coefficients sum to 1 and, for every
 injective monotone map f into m, the injective terms of x o f all carry
-nonnegative coefficients.  This module decides that membership, implements
-the filler and pasting operations under which the morphisms are closed, and
-factorizes every such morphism into an expression tree over plain monotone
-maps.
+nonnegative coefficients.  zdelta decides that membership, and its names are
+exported here too.  This module implements the filler and pasting operations
+under which the morphisms are closed, and factorizes every such morphism into
+an expression tree over plain monotone maps.
 """
 
 from .errors import (
@@ -17,82 +17,10 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .simplex import MonotoneMap, _Frozen, face_generator
+from .simplex import MonotoneMap, face_generator
 from .zdelta import ZMorphism, _repeated, _sum_pairs
-
-
-# ---------------------------------------------------------------------------
-# membership
-
-
-class MembershipResult(_Frozen):
-    """Verdict of the membership test, with a witness on failure.
-
-    On a nonnegativity failure, `witness_map` is an injective map f into the
-    domain and `witness_term` an injective term of x o f whose coefficient
-    `witness_coefficient` is negative; a wrong coefficient sum carries only
-    the reason text.
-    """
-
-    _fields = ("ok", "reason", "witness_map", "witness_term", "witness_coefficient")
-
-    def __init__(self, ok, reason="", witness_map=None, witness_term=None,
-                 witness_coefficient=0):
-        self.__dict__.update(ok=ok, reason=reason, witness_map=witness_map,
-                             witness_term=witness_term, witness_coefficient=witness_coefficient)
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_membership(x):
-    """Decide membership among oriental morphisms, returning a result object.
-
-    The injective terms of x o f, for the injective map f with values b, are
-    the image of the basis element b under the chain map of x.  So after the
-    coefficient sum, the nonnegativity is read off the chain-map images,
-    basis element by basis element in the order of enumerate_injective_into,
-    and the first negative coefficient found is the witness.
-    """
-    from .chains import _images  # here, so that evaluating needs no chains
-
-    return _membership(x, _images(x))
-
-
-def _membership(x, images):
-    """check_membership on the (basis element, image dict) pairs of the chain
-    map of x, which are read only as far as the first witness."""
-    total = x.coefficient_sum()
-    if total != 1:
-        return MembershipResult(
-            ok=False, reason=f"coefficient sum is {total}, not 1"
-        )
-    for b, image in images:
-        for e, c in image.items():
-            if c < 0:
-                f = MonotoneMap(b.vertices, x.domain)
-                g = MonotoneMap(e, x.codomain)
-                return MembershipResult(
-                    ok=False,
-                    reason=(
-                        f"injective term {g} has coefficient {c} in the "
-                        f"composite with {f}"
-                    ),
-                    witness_map=f,
-                    witness_term=g,
-                    witness_coefficient=c,
-                )
-    return MembershipResult(ok=True)
-
-
-def is_oriental_morphism(x):
-    return check_membership(x).ok
-
-
-def _require_member(x, who):
-    result = check_membership(x)
-    if not result.ok:
-        raise PreconditionError(f"{who} requires an oriental morphism: {result.reason}")
+# Exported here too; factorize calls check_membership through this global.
+from .zdelta import MembershipResult, check_membership, is_oriental_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +580,15 @@ def _is_unit(x, y, j, i):
 def eliminate_pastings(expr):
     """Rewrite every pasting node as a face of the corresponding filler, so
     the tree uses fillers and composition with monotone maps only.  Shared
-    subtrees stay shared."""
+    subtrees stay shared.  A bad tree raises eval_expr's error."""
+    expr.evaluate()
     table = {}
 
     def step(node):
         if not isinstance(node, Pasting):
             return node
         inner = _cons(table, Filler(node.index, node.left, node.right))
-        return ComposeMap(inner, face_generator(node.index + 1, inner.evaluate().domain))
+        return ComposeMap(inner, face_generator(node.index + 1, _domain(inner)))
 
     return _rewrite(expr, step, {}, table)
 
@@ -702,7 +631,9 @@ def _factorize_member(x, memo, appended, table):
 
 
 def _factorize_new(x, memo, appended, table):
-    _require_member(x, "factorize")
+    result = check_membership(x)
+    if not result.ok:
+        raise PreconditionError(f"factorize requires an oriental morphism: {result.reason}")
     m = x.domain
     _, t = first_last(x)
     constant = MonotoneMap((t,) * (m + 1), x.codomain)

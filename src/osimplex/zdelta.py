@@ -5,14 +5,16 @@ abelian group; together these groups form a category with the same objects
 as the simplex category.  Values are immutable: every operation returns a
 new, normalized combination (no zero coefficients are ever stored).  The
 group structure itself (normalization, sums, equality, printing) is the
-base class _Combination, which chains.Chain shares.
+base class _Combination, which chains.Chain shares.  Last comes the test
+of membership among the morphisms of oriented simplexes.
 """
 
 import re
-from operator import attrgetter
+from itertools import combinations
+from operator import attrgetter, itemgetter
 
 from .errors import ArityError, ParseError, json_int
-from .simplex import MonotoneMap, degeneracy_generator, face_generator
+from .simplex import MonotoneMap, _Frozen, degeneracy_generator, face_generator
 
 
 _set = object.__setattr__
@@ -354,3 +356,86 @@ def parse_zmorphism(text, codomain, domain=None):
         return ZMorphism(inferred, codomain, items)
     except ArityError as exc:
         raise ParseError(str(exc)) from exc
+
+
+class MembershipResult(_Frozen):
+    """Verdict of the membership test, with a witness on failure.
+
+    On a nonnegativity failure, `witness_map` is an injective map f into the
+    domain and `witness_term` an injective term of x o f whose coefficient
+    `witness_coefficient` is negative; a wrong coefficient sum carries only
+    the reason text.
+    """
+
+    _fields = ("ok", "reason", "witness_map", "witness_term", "witness_coefficient")
+
+    def __init__(self, ok, reason="", witness_map=None, witness_term=None,
+                 witness_coefficient=0):
+        self.__dict__.update(ok=ok, reason=reason, witness_map=witness_map,
+                             witness_term=witness_term, witness_coefficient=witness_coefficient)
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_membership(x):
+    """Decide membership among oriental morphisms, returning a result object.
+
+    The injective terms of x o f, for the injective map f with values b, are
+    the image of the basis element b under the chain map of x.  So after the
+    coefficient sum, the nonnegativity is read off the chain-map images,
+    basis element by basis element in the order of enumerate_injective_into,
+    and the first negative coefficient found is the witness.
+    """
+    return _membership(x, _images(x))
+
+
+def _membership(x, images):
+    """check_membership on the (vertex tuple, image dict) pairs of the chain
+    map of x, which are read only as far as the first witness."""
+    total = x.coefficient_sum()
+    if total != 1:
+        return MembershipResult(
+            ok=False, reason=f"coefficient sum is {total}, not 1"
+        )
+    for verts, image in images:
+        for e, c in image.items():
+            if c < 0:
+                f = MonotoneMap(verts, x.domain)
+                g = MonotoneMap(e, x.codomain)
+                return MembershipResult(
+                    ok=False,
+                    reason=(
+                        f"injective term {g} has coefficient {c} in the "
+                        f"composite with {f}"
+                    ),
+                    witness_map=f,
+                    witness_term=g,
+                    witness_coefficient=c,
+                )
+    return MembershipResult(ok=True)
+
+
+def is_oriental_morphism(x):
+    return check_membership(x).ok
+
+
+def _image_terms(terms, verts):
+    """The image of the basis element with vertices verts under the chain map
+    of the combination with these (map values, coefficient) terms, as {vertex
+    tuple: coefficient} summed in term order with a zero sum dropped at once."""
+    k = len(verts)
+    pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
+    # The image is non-decreasing, so it is a basis element when distinct.
+    return _sum_pairs(
+        (image, c) for values, c in terms if len(set(image := pick(values))) == k
+    )
+
+
+def _images(x):
+    """Yield (vertices, _image_terms of them under x) for every basis element
+    of the complex on the domain of x, in the order of chains.basis_elements."""
+    terms = [(f.values, c) for f, c in x.terms.items()]
+    for k in range(1, x.domain + 2):
+        for verts in combinations(range(x.domain + 1), k):
+            yield verts, _image_terms(terms, verts)

@@ -39,13 +39,18 @@ def test_importing_the_cli_loads_no_command_modules():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["check", "(0,1) - (1,1) + (1,2)", "--n", "2"], {"osimplex.nu"}),
+        (
+            ["check", "(0,1) - (1,1) + (1,2)", "--n", "2"],
+            {"osimplex.nu", "osimplex.oriental", "osimplex.chains"},
+        ),
         (["factor", "(0,1) - (1,1) + (1,2)", "--n", "2", "--verify"], {"osimplex.nu"}),
         (["eval", "F_0((0,1),(1,2))", "--n", "2"], {"osimplex.nu", "osimplex.chains"}),
         (
             ["compose", "(0,1) - (1,1) + (1,2)", "(0)", "--n", "2"],
             {"osimplex.nu", "osimplex.chains", "osimplex.oriental"},
         ),
+        (["enumerate", "1"], {"osimplex.oriental"}),
+        (["atoms", "1"], {"osimplex.oriental"}),
     ],
 )
 def test_commands_load_only_what_they_use(argv, absent):
@@ -60,6 +65,13 @@ def test_exports_are_the_submodules_objects():
         defining = importlib.import_module(value.__module__)
         assert defining.__name__.startswith("osimplex.")
         assert getattr(defining, name) is value
+
+
+def test_oriental_exports_the_membership_of_zdelta():
+    from osimplex import oriental, zdelta
+
+    for name in ("MembershipResult", "check_membership", "is_oriental_morphism"):
+        assert getattr(oriental, name) is getattr(zdelta, name) is getattr(osimplex, name)
 
 
 def test_star_import_and_dir_list_every_export():

@@ -43,7 +43,8 @@ def test_eval_reports_node_path():
 
 
 def test_simplify_rejects_a_bad_pasting_index_as_eval_does():
-    # Indices out of range for one or both operands, at the root and nested.
+    # Indices out of range for one or both operands, at the root and nested,
+    # and a nested face mismatch.
     trees = [
         Pasting(5, leaf((0, 1), 2), leaf((0, 1), 2)),
         Pasting(-1, leaf((0, 1), 2), leaf((0, 1), 2)),
@@ -52,13 +53,14 @@ def test_simplify_rejects_a_bad_pasting_index_as_eval_does():
         Pasting(1, leaf((0, 1, 2), 2), leaf((0, 1), 2)),
     ]
     trees.append(Pasting(0, trees[0], leaf((0, 1), 2)))
+    trees.append(Pasting(0, Pasting(0, leaf((0, 2), 2), leaf((1, 2), 2)), leaf((1, 1), 2)))
     for tree in trees:
         outcomes = []
-        for fn in (simplify, eval_expr):
+        for fn in (simplify, eliminate_pastings, eval_expr):
             with pytest.raises(Exception) as info:
                 fn(tree)
             outcomes.append((type(info.value), str(info.value)))
-        assert outcomes[0] == outcomes[1], str(tree)
+        assert outcomes[0] == outcomes[1] == outcomes[2], str(tree)
         assert outcomes[0][0] is InvalidExpressionError, str(tree)
     assert outcomes[0][1].endswith("(node left)")
 
