@@ -26,7 +26,7 @@ _SUBMODULE = {
         "nu": "Cell act atom check_atom_generation enumerate_cells from_set_pairs violations",
         "oriental": "ComposeMap Expr Filler Leaf Pasting eliminate_pastings eval_expr "
         "expr_from_json factorize filler first_last parse_expr pasting simplify split_finish "
-        "split_middle split_start tail_decompose",
+        "split_middle split_start",
         "simplex": "MonotoneMap compose degeneracy_generator enumerate_injective_into "
         "face_generator identity parse_map",
         "zdelta": "MembershipResult ZMorphism check_membership is_oriental_morphism "

@@ -69,7 +69,7 @@ class BasisElt(_Ordered):
 
 def basis_elements(n, dimension=None):
     """The basis elements of the complex on {0,...,n}, optionally of one dimension."""
-    if type(n) is not int or dimension is not None and dimension < 0:
+    if type(n) is not int or n < 0 or dimension is not None and dimension < 0:
         raise ValueError("n must be an integer and the dimension nonnegative")
     dims = range(n + 1) if dimension is None else [dimension]
     out = []
@@ -250,7 +250,7 @@ def _lf_less(av, bv):
 def check_strongly_loopfree(n):
     """Check that the recursive total order places every negative boundary
     term below its element and every positive term above it."""
-    if type(n) is not int:
+    if type(n) is not int or n < 0:
         raise ValueError("n must be an integer and the dimension nonnegative")
     for p in range(1, n + 1):
         for verts in combinations(range(n + 1), p + 1):

@@ -121,8 +121,8 @@ class Cell:
         """The composite of self followed by other across level p.
 
         Defined when the level-p target of self equals the level-p source of
-        other; the result is the termwise sum of both cells minus their
-        shared identity.
+        other; the result, the termwise sum of both cells minus their shared
+        identity, is a cell by Steiner (HHA 2004) and is not checked again.
         """
         if not isinstance(other, Cell) or other.ambient != self.ambient:
             raise ArityError("cells must live over the same complex to compose")
@@ -139,8 +139,7 @@ class Cell:
             wn, wp = shared.pair(q)
             yn, yp = other.pair(q)
             pairs.append((xn - wn + yn, xp - wp + yp))
-        result = Cell(self.ambient, pairs)
-        return result
+        return Cell(self.ambient, pairs, _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, Cell):
@@ -196,11 +195,11 @@ class Cell:
 
 def atom(b):
     """The canonical cell of a basis element: the element on top of its
-    iterated boundary parts."""
+    iterated boundary parts, unchecked: atoms of a unital basis are cells."""
     p = b.dimension
     towers = [_part_tower(p, p, sign) for sign in "-+"]
     pairs = [tuple(_relabelled(b, tower[p - q], q) for tower in towers) for q in range(p + 1)]
-    return Cell.from_pairs(b.ambient, pairs)
+    return Cell(b.ambient, pairs, _checked=True)
 
 
 def _first_vertex_weight(chain):
@@ -252,6 +251,8 @@ def enumerate_cells(n, bound=3, max_cells=None):
     Raises when n exceeds the configured bound (raise it explicitly for
     larger searches) or when more than max_cells cells appear.
     """
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be an integer and the dimension nonnegative")
     if n > bound:
         raise EnumerationLimitError(
             f"enumeration of cells at n={n} exceeds the bound {bound}; "
@@ -350,8 +351,8 @@ def from_set_pairs(n, set_pairs):
 def act(x, cell):
     """Apply an oriental morphism to a cell through its chain map.
 
-    The morphism must pass the membership test; order preservation then
-    guarantees the image sequence is again a cell.
+    The morphism must pass the membership test; the image of a cell under
+    a member's chain map is then a cell, so it is not checked again.
     """
     if cell.ambient != x.domain:
         raise ArityError(
@@ -365,4 +366,4 @@ def act(x, cell):
         )
     table = _table(x, images)
     pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
-    return Cell.from_pairs(x.codomain, pairs)
+    return Cell(x.codomain, pairs, _checked=True)

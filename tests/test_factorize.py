@@ -87,7 +87,7 @@ def test_factorize_filler_example():
 
 
 def test_factorize_rejects_non_members():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^factorize requires an oriental morphism: "):
         factorize(parse_zmorphism("2*(0,1) - (1,1)", 2))
 
 

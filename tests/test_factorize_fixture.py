@@ -1,5 +1,5 @@
-"""Factorization trees stay string-identical to the recorded fixture, and
-each distinct subproblem of a call is solved once."""
+"""Factorization trees stay string-identical to the recorded fixture, every
+node of a tree is a member, and membership is checked once per call."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import time
 from osimplex import oriental
 from osimplex.oriental import eval_expr, factorize
 from osimplex.simplex import MonotoneMap, face_generator
-from osimplex.zdelta import ZMorphism
+from osimplex.zdelta import ZMorphism, check_membership
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "factorize_strings.json")
 
@@ -23,11 +23,21 @@ def test_factorize_strings_match_fixture():
     assert len(entries) >= 300
     for entry in entries:
         x = ZMorphism.from_json(entry["x"])
-        assert str(factorize(x, simplify_output=False)) == entry["raw"], str(x)
+        raw = factorize(x, simplify_output=False)
+        assert str(raw) == entry["raw"], str(x)
         assert str(factorize(x)) == entry["simplified"], str(x)
+        # Every recursive input of factorize is the value of a node, and
+        # factorize checks only x: the splits of a member are members.
+        seen = set()
+        values = set()
+        for node in oriental._postorder(raw, lambda node: id(node) in seen):
+            seen.add(id(node))
+            values.add(node.evaluate())
+        for value in values:
+            assert check_membership(value).ok, (str(x), str(value))
 
 
-def test_factorize_verifies_each_distinct_subproblem_once(monkeypatch):
+def test_factorize_checks_membership_once_per_call(monkeypatch):
     calls = []
     original = oriental.check_membership
 
@@ -37,9 +47,7 @@ def test_factorize_verifies_each_distinct_subproblem_once(monkeypatch):
 
     monkeypatch.setattr(oriental, "check_membership", counted)
     factorize(identity(4))
-    # one check per distinct input, the top-level one included
-    assert len(calls) <= 81
-    assert len(set(calls)) == len(calls)
+    assert calls == [identity(4)]
 
 
 def test_factorize_identity_m5_roundtrip():

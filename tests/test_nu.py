@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from osimplex.chains import BasisElt, Chain, basis_elements
+from osimplex.chains import (
+    BasisElt,
+    Chain,
+    basis_elements,
+    check_strongly_loopfree,
+    check_unital,
+)
 from osimplex.errors import (
     ArityError,
     CellConditionError,
@@ -124,9 +130,9 @@ def test_atom_examples():
 
 
 def test_every_atom_validates():
-    for n in range(5):
+    for n in range(6):
         for b in basis_elements(n):
-            atom(b)  # constructor validates
+            assert violations(b.ambient, atom(b).pairs) == []
 
 
 def test_enumerate_counts():
@@ -146,6 +152,16 @@ def test_enumerate_resource_bounds():
     with pytest.raises(EnumerationLimitError):
         enumerate_cells(2, max_cells=5)
     assert len(enumerate_cells(2, max_cells=8)) == 8
+
+
+@pytest.mark.parametrize("n", [-1, True])
+@pytest.mark.parametrize(
+    "entry",
+    [basis_elements, check_strongly_loopfree, check_unital, enumerate_cells, check_atom_generation],
+)
+def test_sizes_that_are_negative_or_not_int_are_rejected(entry, n):
+    with pytest.raises(ValueError, match="n must be an integer and the dimension nonnegative"):
+        entry(n)
 
 
 def test_zero_one_coefficients_observed():
@@ -276,13 +292,14 @@ def test_act_rejects_a_non_member_with_the_membership_reason():
 
 
 def test_act_functorial(rng):
-    cells = {m: sorted(enumerate_cells(m), key=str) for m in range(3)}
+    cells = {m: sorted(enumerate_cells(m), key=str) for m in range(4)}
     for _ in range(60):
         m, k, n = rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3)
         x = random_oriental(rng, k, n, steps=4)
         y = random_oriental(rng, m, k, steps=4)
         s = rng.choice(cells[m])
         assert act(x.compose(y), s) == act(x, act(y, s))
+        assert act(y, s) in cells[k] and act(x.compose(y), s) in cells[n]
 
 
 def test_act_preserves_structure(rng):
@@ -298,11 +315,12 @@ def test_act_preserves_structure(rng):
 
 
 def test_act_respects_structure_random(rng):
-    by_size = {m: sorted(enumerate_cells(m), key=str) for m in range(3)}
+    by_size = {m: sorted(enumerate_cells(m), key=str) for m in range(4)}
     for _ in range(40):
         m, n = rng.randint(0, 2), rng.randint(0, 3)
         x = random_oriental(rng, m, n, steps=4)
         s = rng.choice(by_size[m])
+        assert act(x, s) in by_size[n]
         p = rng.randint(0, m + 1)
         assert act(x, s.source(p)) == act(x, s).source(p)
         assert act(x, s.target(p)) == act(x, s).target(p)
