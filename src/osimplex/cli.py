@@ -192,7 +192,7 @@ def _cmd_enumerate(args):
 
 def _cmd_atoms(args):
     from .chains import basis_elements
-    from .nu import atom
+    from .nu import _atoms
 
     elements = basis_elements(_basis_size(args))
     if args.json:
@@ -202,8 +202,8 @@ def _cmd_atoms(args):
                 {
                     "n": args.size,
                     "atoms": [
-                        {"basis": list(b.vertices), "cell": atom(b).to_json()}
-                        for b in elements
+                        {"basis": list(b.vertices), "cell": a.to_json()}
+                        for b, a in zip(elements, _atoms(elements))
                     ],
                 },
                 indent=2,
@@ -211,8 +211,8 @@ def _cmd_atoms(args):
             )
         )
     else:
-        for b in elements:
-            print(f"<{b}> = {atom(b)}")
+        for b, a in zip(elements, _atoms(elements)):
+            print(f"<{b}> = {a}")
     return 0
 
 

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .zdelta import _images, _membership
+from .zdelta import _images, _membership, _sum_pairs
 
 
 def violations(n, pairs):
@@ -123,22 +123,32 @@ class Cell:
         Defined when the level-p target of self equals the level-p source of
         other; the result, the termwise sum of both cells minus their shared
         identity, is a cell by Steiner (HHA 2004) and is not checked again.
+        The identities are compared on their level tuples.  Below level p
+        all three cells agree, so self's levels are kept; from p up each
+        chain is one sum of the three cells' terms.
         """
         if not isinstance(other, Cell) or other.ambient != self.ambient:
             raise ArityError("cells must live over the same complex to compose")
-        shared = self.target(p)
-        if shared != other.source(p):
+        if p < 0:
+            raise PreconditionError("identity level must be nonnegative")
+        x, y = self.pairs, other.pairs
+        shared = x if p >= len(x) else x[:p] + ((x[p][1], x[p][1]),)
+        if shared != (y if p >= len(y) else y[:p] + ((y[p][0], y[p][0]),)):
             raise NotComposableError(
                 f"cells do not meet across level {p}: the left target differs "
                 f"from the right source"
             )
-        height = max(len(self.pairs), len(other.pairs))
-        pairs = []
-        for q in range(height):
-            xn, xp = self.pair(q)
-            wn, wp = shared.pair(q)
-            yn, yp = other.pair(q)
-            pairs.append((xn - wn + yn, xp - wp + yp))
+        pairs = list(x[:p])
+        for q in range(p, max(len(x), len(y))):
+            pairs.append(tuple(
+                Chain._make(q, self.ambient, _sum_pairs(
+                    (key, sign * c)
+                    for levels, sign in ((x, 1), (shared, -1), (y, 1))
+                    if q < len(levels)
+                    for key, c in levels[q][side].terms.items()
+                ))
+                for side in (0, 1)
+            ))
         return Cell(self.ambient, pairs, _checked=True)
 
     def __eq__(self, other):
@@ -196,10 +206,22 @@ class Cell:
 def atom(b):
     """The canonical cell of a basis element: the element on top of its
     iterated boundary parts, unchecked: atoms of a unital basis are cells."""
-    p = b.dimension
-    towers = [_part_tower(p, p, sign) for sign in "-+"]
-    pairs = [tuple(_relabelled(b, tower[p - q], q) for tower in towers) for q in range(p + 1)]
-    return Cell(b.ambient, pairs, _checked=True)
+    return next(_atoms([b]))
+
+
+def _atoms(elements):
+    """The atoms of the given basis elements, in order; the two part towers
+    of each dimension are built once for the call."""
+    towers = {}  # p -> the negative and positive part towers of [0,...,p]
+    for b in elements:
+        p = b.dimension
+        if p not in towers:
+            towers[p] = [_part_tower(p, p, sign) for sign in "-+"]
+        pairs = [
+            tuple(_relabelled(b, tower[p - q], q) for tower in towers[p])
+            for q in range(p + 1)
+        ]
+        yield Cell(b.ambient, pairs, _checked=True)
 
 
 def _first_vertex_weight(chain):
@@ -210,32 +232,81 @@ def _first_vertex_weight(chain):
 
 
 def _nonneg_preimages(delta, q):
-    """All nonnegative q-chains whose boundary equals delta, by exhaustive
-    search bounded through the first-vertex functional."""
+    """All nonnegative q-chains whose boundary equals delta, in basis order
+    with coefficients ascending, by a search that keeps the residual
+    delta - boundary(picked).
+
+    The first-vertex functional is positive on the boundary of every
+    element, so the coefficients of any preimage weigh exactly delta's
+    weight; this budget bounds the free choices.  Each (q-1)-face is settled
+    by the last element, in basis order, that contains it: no later choice
+    changes its residual, so that element's coefficient is forced, and the
+    branch ends unless the value is nonnegative, clears every face the
+    element settles and fits the budget.  At a leaf every face is settled
+    to zero, so each leaf is a preimage, and every preimage is reached,
+    since only values no preimage takes are cut.
+    """
     n = delta.ambient
     budget = _first_vertex_weight(delta)
     if budget < 0:
         return []
     basis = basis_elements(n, q)
-    weights = [_first_vertex_weight(Chain.of(b).boundary()) for b in basis]
+    index = {}  # face vertex tuple -> face number
+    rows = []  # per element: (face number, boundary sign) of each face
+    weights = []  # per element: the first-vertex functional on its boundary
+    for b in basis:
+        verts = b.vertices
+        row = []
+        weight = 0
+        for i in range(q + 1):
+            face = verts[:i] + verts[i + 1:]
+            sign = -1 if i & 1 else 1
+            row.append((index.setdefault(face, len(index)), sign))
+            weight += sign * face[0]
+        rows.append(row)
+        weights.append(weight)
+    residual = [0] * len(index)
+    for b, c in delta.terms.items():
+        f = index.get(b.vertices)
+        if f is None:  # a face of no q-element
+            return []
+        residual[f] = c
+    last = {f: (k, sign) for k, row in enumerate(rows) for f, sign in row}
+    settles = [[] for _ in basis]
+    for f, (k, sign) in last.items():
+        settles[k].append((f, sign))
+    picked = [0] * len(basis)
     out = []
 
-    def descend(index, remaining, picked):
-        if index == len(basis):
-            chain = Chain._make(q, n, dict(picked))
-            if chain.boundary() == delta:
-                out.append(chain)
+    def descend(k, remaining):
+        if k == len(basis):
+            # Every face is settled, so the residual is zero.
+            out.append(Chain._make(q, n, {basis[i]: c for i, c in enumerate(picked) if c}))
             return
-        w = weights[index]
-        top = remaining // w
-        for c in range(top + 1):
-            descend(
-                index + 1,
-                remaining - c * w,
-                picked + [(basis[index], c)] if c else picked,
-            )
+        w = weights[k]
+        settled = settles[k]
+        if settled:
+            f, sign = settled[0]
+            c = sign * residual[f]
+            if c < 0 or c * w > remaining:
+                return
+            for f, sign in settled[1:]:
+                if sign * residual[f] != c:
+                    return
+            choices = (c,)
+        else:
+            choices = range(remaining // w + 1)
+        row = rows[k]
+        for c in choices:
+            for f, sign in row:
+                residual[f] -= sign * c
+            picked[k] = c
+            descend(k + 1, remaining - c * w)
+            for f, sign in row:
+                residual[f] += sign * c
+        picked[k] = 0
 
-    descend(0, budget, [])
+    descend(0, budget)
     return out
 
 
@@ -245,8 +316,11 @@ def enumerate_cells(n, bound=3, max_cells=None):
     The bottom pair of a cell consists of two single vertices; each higher
     level ranges over the nonnegative boundary preimages of the previous
     level's difference, and a cell closes off exactly when that difference
-    vanishes.  The search is exact: nonnegative chains with zero boundary are
-    themselves zero, so no solutions are missed by the budget.
+    vanishes.  The preimages come from the residual search of
+    _nonneg_preimages, once per difference chain.  The search is exact: it
+    cuts only coefficient values that no preimage takes, and a nonnegative
+    chain with zero boundary is zero, so the first-vertex budget misses
+    nothing.
 
     Raises when n exceeds the configured bound (raise it explicitly for
     larger searches) or when more than max_cells cells appear.
@@ -309,7 +383,7 @@ def _atom_closure(n):
     generated = set()
     by_source = {}  # (p, source at p) -> cells
     by_target = {}  # (p, target at p) -> cells
-    frontier = {atom(b) for b in basis_elements(n)}
+    frontier = set(_atoms(basis_elements(n)))
     while frontier:
         generated |= frontier
         ends = {x: [(x.source(p), x.target(p)) for p in range(n + 1)] for x in frontier}

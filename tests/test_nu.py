@@ -165,8 +165,8 @@ def test_sizes_that_are_negative_or_not_int_are_rejected(entry, n):
 
 
 def test_zero_one_coefficients_observed():
-    for n in range(4):
-        for cell in enumerate_cells(n):
+    for n in range(6):
+        for cell in enumerate_cells(n, bound=5):
             for neg, pos in cell.pairs:
                 for chain in (neg, pos):
                     assert all(c == 1 for c in chain.terms.values())
