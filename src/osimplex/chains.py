@@ -254,10 +254,8 @@ def check_strongly_loopfree(n):
         raise ValueError("n must be an integer and the dimension nonnegative")
     for p in range(1, n + 1):
         for verts in combinations(range(n + 1), p + 1):
-            # Face i of a single element has boundary coefficient (-1)^i.
-            for i in range(p + 1):
-                face = verts[:i] + verts[i + 1:]
-                if not (_lf_less(face, verts) if i & 1 else _lf_less(verts, face)):
+            for face, sign in _faces([(verts, 1)]):
+                if not (_lf_less(verts, face) if sign > 0 else _lf_less(face, verts)):
                     return False
     return True
 
@@ -287,18 +285,15 @@ class ChainMapTable:
 
     def apply(self, chain):
         """Extend the table linearly to an arbitrary chain."""
-        out = {}
+        images = []
         for b, c in chain.terms.items():
             image = self.images[b]
             if image.dimension != chain.dimension or image.ambient != self.n:
                 raise ArityError(f"image of {b} has the wrong shape")
-            for e, ce in image.terms.items():
-                ce = out.get(e, 0) + c * ce
-                if ce:
-                    out[e] = ce
-                else:
-                    del out[e]
-        return Chain._make(chain.dimension, self.n, out)
+            images.append((image.terms, c))
+        return Chain._make(chain.dimension, self.n, _sum_pairs(
+            (e, c * ce) for terms, c in images for e, ce in terms.items()
+        ))
 
     def _check_shapes(self):
         """Raise unless the keys are the basis on m and each image has its

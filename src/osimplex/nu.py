@@ -11,7 +11,7 @@ generate everything, and the action of oriental morphisms on cells.
 
 from itertools import product
 
-from .chains import Chain, _part_tower, _relabelled, _table, basis_elements
+from .chains import Chain, _faces, _part_tower, _relabelled, _table, basis_elements
 from .errors import (
     ArityError,
     CellConditionError,
@@ -69,17 +69,25 @@ class Cell:
 
     __slots__ = ("ambient", "pairs", "_hash")
 
-    def __init__(self, ambient, pairs, _checked=False):
+    def __new__(cls, ambient, pairs):
         pairs = [tuple(p) for p in pairs]
-        if not _checked:
-            bad = violations(ambient, pairs)
-            if bad:
-                raise CellConditionError(bad)
+        bad = violations(ambient, pairs)
+        if bad:
+            raise CellConditionError(bad)
+        return cls._make(ambient, pairs)
+
+    @classmethod
+    def _make(cls, ambient, pairs):
+        """A cell from chain pairs already known to form one, less its zero
+        top levels (act by a degenerate member leaves some); no checks."""
+        pairs = list(pairs)
         while pairs and pairs[-1][0].is_zero() and pairs[-1][1].is_zero():
             pairs.pop()
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "_hash", None)
+        x = object.__new__(cls)
+        object.__setattr__(x, "ambient", ambient)
+        object.__setattr__(x, "pairs", tuple(pairs))
+        object.__setattr__(x, "_hash", None)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("Cell values are immutable")
@@ -115,7 +123,7 @@ class Cell:
         if p >= len(self.pairs):
             return self
         glue = self.pairs[p][side]
-        return Cell(self.ambient, self.pairs[:p] + ((glue, glue),), _checked=True)
+        return Cell._make(self.ambient, self.pairs[:p] + ((glue, glue),))
 
     def compose(self, other, p):
         """The composite of self followed by other across level p.
@@ -149,7 +157,7 @@ class Cell:
                 ))
                 for side in (0, 1)
             ))
-        return Cell(self.ambient, pairs, _checked=True)
+        return Cell._make(self.ambient, pairs)
 
     def __eq__(self, other):
         if not isinstance(other, Cell):
@@ -221,7 +229,7 @@ def _atoms(elements):
             tuple(_relabelled(b, tower[p - q], q) for tower in towers[p])
             for q in range(p + 1)
         ]
-        yield Cell(b.ambient, pairs, _checked=True)
+        yield Cell._make(b.ambient, pairs)
 
 
 def _first_vertex_weight(chain):
@@ -255,16 +263,9 @@ def _nonneg_preimages(delta, q):
     rows = []  # per element: (face number, boundary sign) of each face
     weights = []  # per element: the first-vertex functional on its boundary
     for b in basis:
-        verts = b.vertices
-        row = []
-        weight = 0
-        for i in range(q + 1):
-            face = verts[:i] + verts[i + 1:]
-            sign = -1 if i & 1 else 1
-            row.append((index.setdefault(face, len(index)), sign))
-            weight += sign * face[0]
-        rows.append(row)
-        weights.append(weight)
+        faces = list(_faces([(b.vertices, 1)]))
+        rows.append([(index.setdefault(face, len(index)), sign) for face, sign in faces])
+        weights.append(sum(sign * face[0] for face, sign in faces))
     residual = [0] * len(index)
     for b, c in delta.terms.items():
         f = index.get(b.vertices)
@@ -337,7 +338,7 @@ def enumerate_cells(n, bound=3, max_cells=None):
     preimages = {}
 
     def note(pairs):
-        cells.add(Cell(n, pairs, _checked=True))
+        cells.add(Cell._make(n, pairs))
         if max_cells is not None and len(cells) > max_cells:
             raise EnumerationLimitError(
                 f"enumeration produced more than {max_cells} cells"
@@ -440,4 +441,4 @@ def act(x, cell):
         )
     table = _table(x, images)
     pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
-    return Cell(x.codomain, pairs, _checked=True)
+    return Cell._make(x.codomain, pairs)

@@ -198,11 +198,8 @@ class Expr:
     Every walk is a loop, so no depth is too deep.  Each kind of node gives
     its children in `kids`, named by `labels`, and one method per job."""
 
-    kids = ()
+    __slots__ = ("kids", "_value", "_hash", "_printed")
     labels = ()
-    _value = None
-    _hash = None
-    _printed = None
 
     def evaluate(self):
         if self._value is None:
@@ -289,8 +286,12 @@ def _map_text(f):
 class Leaf(Expr):
     """A plain monotone map."""
 
+    __slots__ = ("map",)
+
     def __init__(self, f):
         self.map = f
+        self.kids = ()
+        self._value = self._hash = self._printed = None
 
     def _key(self, kid_key):
         return ("leaf", self.map)
@@ -309,6 +310,7 @@ class Leaf(Expr):
 
 
 class _Node(Expr):
+    __slots__ = ("index", "left", "right")
     tag = None
     symbol = None
     labels = ("left", "right")
@@ -318,6 +320,7 @@ class _Node(Expr):
         self.left = left
         self.right = right
         self.kids = (left, right)
+        self._value = self._hash = self._printed = None
 
     def _key(self, kid_key):
         return (self.tag, self.index, kid_key(self.left), kid_key(self.right))
@@ -340,12 +343,14 @@ class _Node(Expr):
 
 
 class Filler(_Node):
+    __slots__ = ()
     tag = "filler"
     symbol = "F"
     _combine = staticmethod(filler)
 
 
 class Pasting(_Node):
+    __slots__ = ()
     tag = "pasting"
     symbol = "P"
     _combine = staticmethod(pasting)
@@ -358,12 +363,14 @@ class ComposeMap(Expr):
     never emits it.
     """
 
+    __slots__ = ("inner", "map")
     labels = ("inner",)
 
     def __init__(self, inner, f):
         self.inner = inner
         self.map = f
         self.kids = (inner,)
+        self._value = self._hash = self._printed = None
 
     def _key(self, kid_key):
         return ("compose", kid_key(self.inner), self.map)

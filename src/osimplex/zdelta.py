@@ -61,21 +61,17 @@ class _Combination:
         for name, k in zip(self.__slots__, (first, second)):
             if type(k) is not int or k < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
-        normalized = {}
         items = terms.items() if isinstance(terms, dict) else terms
+        pairs = []
         for key, c in items:
             key = self._check_key(key, first, second)
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
             if c:
-                c += normalized.get(key, 0)
-                if c:
-                    normalized[key] = c
-                else:
-                    del normalized[key]
+                pairs.append((key, c))
         _set(self, self.__slots__[0], first)
         _set(self, self.__slots__[1], second)
-        _set(self, "terms", normalized)
+        _set(self, "terms", _sum_pairs(pairs))
         _set(self, "_hash", None)
 
     @classmethod
@@ -127,14 +123,7 @@ class _Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_shape(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            c += merged.get(key, 0)
-            if c:
-                merged[key] = c
-            else:
-                del merged[key]
-        return self._make(*self._shape, merged)
+        return self._make(*self._shape, _sum_pairs([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self):
         return -1 * self

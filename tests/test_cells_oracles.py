@@ -105,7 +105,7 @@ def reference_compose(x, y, p):
         wn, wp = shared.pair(q)
         yn, yp = y.pair(q)
         pairs.append((xn - wn + yn, xp - wp + yp))
-    return Cell(x.ambient, pairs, _checked=True)
+    return Cell._make(x.ambient, pairs)
 
 
 def reference_atom_closure(n):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from osimplex.errors import ArityError, ParseError
 from osimplex.simplex import MonotoneMap, identity
-from osimplex.zdelta import ZMorphism, parse_zmorphism
+from osimplex.zdelta import ZMorphism, check_membership, parse_zmorphism
 
 
 def gen(values, n, c=1):
@@ -143,3 +143,28 @@ def test_rejects_non_integer_coefficients():
 def test_rejects_negative_domain():
     with pytest.raises(ValueError):
         ZMorphism(-1, 1)
+
+
+def test_sums_keep_the_order_of_repeated_addition():
+    # A key whose running sum hits zero is dropped at once and, when it comes
+    # back, goes to the end; summing first and dropping zeros at the end
+    # would give [a, b, c].
+    a, b, c, d = (MonotoneMap(v, 2) for v in [(1, 2), (0, 1), (2, 2), (0, 0)])
+    x = ZMorphism(1, 2, [(a, 1), (b, 2), (a, -1), (c, 1), (a, 3)])
+    assert list(x.terms) == [b, c, a]
+    y = ZMorphism(1, 2, [(c, -1), (d, 1), (b, 1)])
+    assert list((x + y).terms) == [b, a, d]
+    assert list((x - y).terms) == [b, c, a, d]
+
+
+def test_membership_witness_is_the_first_negative_term_in_image_order():
+    # The image of vertex 0 holds -(0) and -(2).  The term (0) cancels and
+    # comes back after (2), so (2) is reported; a sum that kept first
+    # appearances would report (0).
+    x = parse_zmorphism("(0,0) - (0,1) + 2*(1,1) - (2,2) - (0,2) + (1,2)", 2)
+    result = check_membership(x)
+    assert not result.ok
+    assert result.witness_map == MonotoneMap((0,), 1)
+    assert result.witness_term == MonotoneMap((2,), 2)
+    assert result.witness_coefficient == -1
+    assert result.reason == "injective term (2):2 has coefficient -1 in the composite with (0):1"
