@@ -280,11 +280,16 @@ class ChainMapTable:
         self.n = n
         self.images = dict(images)
 
+    def __reduce__(self):
+        return ChainMapTable, (self.m, self.n, self.images)
+
     def image(self, b):
         return self.images[b]
 
     def apply(self, chain):
-        """Extend the table linearly to an arbitrary chain."""
+        """Extend the table linearly to an arbitrary chain over its domain."""
+        if chain.ambient != self.m:
+            raise ArityError(f"chain lives in {chain.ambient}, table has domain {self.m}")
         images = []
         for b, c in chain.terms.items():
             image = self.images[b]
@@ -297,16 +302,21 @@ class ChainMapTable:
 
     def _check_shapes(self):
         """Raise unless the keys are the basis on m and each image has its
-        key's dimension, in ambient n; returns that basis as a set."""
-        expected = set(basis_elements(self.m))
-        if set(self.images) != expected:
+        key's dimension, in ambient n.  Distinct basis elements on m that
+        number 2^(m+1) - 1 are all of them, so the keys are counted and
+        checked one by one, with no basis built."""
+        m = self.m
+        if type(m) is not int or m < 0:
+            basis_elements(m)  # raises ValueError
+        if len(self.images) != 2 ** (m + 1) - 1 or not all(
+            type(b) is BasisElt and b.ambient == m for b in self.images
+        ):
             raise PreconditionError(
-                f"table must cover exactly the basis of the complex on {self.m}"
+                f"table must cover exactly the basis of the complex on {m}"
             )
         for b, chain in self.images.items():
             if not isinstance(chain, Chain) or chain._shape != (b.dimension, self.n):
                 raise PreconditionError(f"image of {b} has the wrong shape")
-        return expected
 
     def validate(self):
         """Raise unless the table is a well-formed chain map.
@@ -315,17 +325,18 @@ class ChainMapTable:
         constancy of the augmentation on vertex images (the induced integer
         multiplier on the augmentation module).
         """
-        expected = self._check_shapes()
+        self._check_shapes()
+        basis = set(basis_elements(self.m))
         degrees = {
             self.images[b].augmentation()
-            for b in expected
+            for b in basis
             if b.dimension == 0
         }
         if len(degrees) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
-        for b in expected:
+        for b in basis:
             if b.dimension == 0:
                 continue
             unit = Chain._make(b.dimension, self.m, {b: 1})
@@ -378,17 +389,23 @@ def to_chain_map(x):
     return _table(x, _images(x))
 
 
-def map_from_pair(a, b, m):
-    """The monotone map associated to a basis pair (a, b): a lists the minimal
-    preimages (starting at 0) and b lists the image values."""
-    av, bv = a.vertices, b.vertices
+def _pair_values(av, bv, m):
+    """The value tuple of the monotone map for the basis pair with vertex
+    tuples av (minimal preimages, from 0) and bv (image values): value j is
+    bv[i] for the last i with av[i] <= j."""
     values = []
     i = 0
     for j in range(m + 1):
         if i + 1 < len(av) and j >= av[i + 1]:
             i += 1
         values.append(bv[i])
-    return MonotoneMap(tuple(values), b.ambient)
+    return tuple(values)
+
+
+def map_from_pair(a, b, m):
+    """The monotone map associated to a basis pair (a, b): a lists the minimal
+    preimages (starting at 0) and b lists the image values."""
+    return MonotoneMap(_pair_values(a.vertices, b.vertices, m), b.ambient)
 
 
 def from_chain_map(table):
@@ -400,26 +417,35 @@ def from_chain_map(table):
     starting at 0, and kills those of the same dimension that precede a
     lexicographically.  Solving from the top dimension down, in lexicographic
     order within each dimension, therefore reads off one coefficient per pair
-    without disturbing the rows already matched.
+    without disturbing the rows already matched.  The solve runs on vertex
+    and value tuples: what a still needs is the table's image of a less the
+    image of a under the terms found so far, and each of its terms adds the
+    map of its pair.  The combination is built once, at the end.
 
     Only the key set and image shapes are checked before solving.  The image
     of any combination is a chain map, so validate() runs only when the
-    answer does not map back to the table, to reject it with its message.
+    image of the answer, scanned by zdelta._images, differs from the table
+    at some basis element, to reject it with its message.
     """
     table._check_shapes()
     m, n = table.m, table.n
+    rows = {
+        b.vertices: {e.vertices: c for e, c in chain.terms.items()}
+        for b, chain in table.images.items()
+    }
     acc = {}
     for q in range(m, -1, -1):
         for rest in combinations(range(1, m + 1), q):
-            a = BasisElt._make((0,) + rest, m)
-            terms = [(f.values, c) for f, c in acc.items()]
-            need = table.images[a] - Chain._summed(q, n, _image_terms(terms, a.vertices).items())
+            verts = (0,) + rest
+            need = _sum_pairs([
+                *rows[verts].items(),
+                *((e, -c) for e, c in _image_terms(acc.items(), verts).items()),
+            ])
             # Each pair (a, b) gives a different map, so no term is hit twice.
-            acc.update((map_from_pair(a, b, m), c) for b, c in need.terms.items())
-    acc = ZMorphism._make(m, n, acc)
+            acc.update((_pair_values(verts, e, m), c) for e, c in need.items())
+    acc = ZMorphism._make(m, n, {MonotoneMap._make(v, n): c for v, c in acc.items()})
     for verts, image in _images(acc):
-        want = table.images[BasisElt._make(verts, m)].terms
-        if image != {e.vertices: c for e, c in want.items()}:
+        if image != rows[verts]:
             table.validate()
             raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

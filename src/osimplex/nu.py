@@ -92,6 +92,10 @@ class Cell:
     def __setattr__(self, name, value):
         raise AttributeError("Cell values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the cell through the validating __new__.
+        return Cell, (self.ambient, self.pairs)
+
     @classmethod
     def from_pairs(cls, ambient, pairs):
         """Validate a raw double sequence; raises with the violated condition

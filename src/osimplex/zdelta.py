@@ -10,7 +10,6 @@ of membership among the morphisms of oriented simplexes.
 """
 
 import re
-from itertools import combinations
 from operator import attrgetter, itemgetter
 
 from .errors import ArityError, ParseError, json_int
@@ -97,6 +96,10 @@ class _Combination:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the value through the checking constructor.
+        return type(self), (*self._shape, list(self.terms.items()))
 
     @classmethod
     def zero(cls, first, second):
@@ -374,7 +377,8 @@ def check_membership(x):
     the image of the basis element b under the chain map of x.  So after the
     coefficient sum, the nonnegativity is read off the chain-map images,
     basis element by basis element in the order of enumerate_injective_into,
-    and the first negative coefficient found is the witness.
+    and the first negative coefficient found is the witness.  The images come
+    from the level-by-level scan of _images, built only as far as the witness.
     """
     return _membership(x, _images(x))
 
@@ -423,8 +427,34 @@ def _image_terms(terms, verts):
 
 def _images(x):
     """Yield (vertices, _image_terms of them under x) for every basis element
-    of the complex on the domain of x, in the order of chains.basis_elements."""
-    terms = [(f.values, c) for f, c in x.terms.items()]
-    for k in range(1, x.domain + 2):
-        for verts in combinations(range(x.domain + 1), k):
-            yield verts, _image_terms(terms, verts)
+    of the complex on the domain of x, in the order of chains.basis_elements.
+
+    A term is injective on a vertex tuple only if it is injective on the
+    tuple less its last vertex, so each level is built from the one below:
+    every tuple is extended, in order, by each larger vertex, which lists
+    the next level in the order of itertools.combinations, and carries only
+    the terms still injective on it, as (image, coefficient, values) in term
+    order.  A term that dies is never looked at again.
+    """
+    m = x.domain
+    level = []
+    for v in range(m + 1):
+        live = [((f.values[v],), c, f.values) for f, c in x.terms.items()]
+        yield (v,), _sum_pairs([(image, c) for image, c, _ in live])
+        level.append(((v,), live))
+    while level:
+        above = []
+        for verts, live in level:
+            for w in range(verts[-1] + 1, m + 1):
+                # The image is non-decreasing, so it stays injective when
+                # the new value exceeds its last one.
+                grown = [(image + (values[w],), c, values)
+                         for image, c, values in live if values[w] > image[-1]]
+                up = verts + (w,)
+                if len(grown) > 1:
+                    yield up, _sum_pairs([(image, c) for image, c, _ in grown])
+                else:  # one nonzero term or none: nothing to sum
+                    yield up, {grown[0][0]: grown[0][1]} if grown else {}
+                if w < m:
+                    above.append((up, grown))
+        level = above

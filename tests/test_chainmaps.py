@@ -154,6 +154,15 @@ def test_from_chain_map_makes_no_boundary_calls_on_a_valid_table(monkeypatch):
     assert calls  # the counter sees the checks that validate makes
 
 
+def test_apply_rejects_a_chain_over_another_ambient():
+    table = to_chain_map(parse_zmorphism("(0,1) - (1,1) + (1,2)", 2))
+    assert table.apply(Chain(0, 1, [((1,), 1)])) == Chain(0, 2, [((2,), 1)])
+    for chain in (Chain(0, 2, [((2,), 1)]), Chain(0, 2, [((0,), 1)]), Chain.zero(1, 0)):
+        with pytest.raises(ArityError) as err:
+            table.apply(chain)
+        assert str(err.value) == f"chain lives in {chain.ambient}, table has domain 1"
+
+
 def test_map_from_pair_bijection():
     # every monotone map is recovered from its associated basis pair
     import itertools

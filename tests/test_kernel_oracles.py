@@ -9,6 +9,8 @@ witness, which depends on the order in which terms are summed.
 """
 
 import random
+from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
@@ -43,9 +45,10 @@ from osimplex.simplex import (
     enumerate_injective_into,
     face_generator,
 )
-from osimplex.zdelta import ZMorphism
+from osimplex.zdelta import ZMorphism, _images, _sum_pairs
 
 from conftest import random_map, random_oriental, random_zmorphism
+from test_chainmaps import INVALID_TABLES, _edited_table
 
 
 def reference_compose(y, x):
@@ -242,6 +245,173 @@ def test_apply_rejects_images_of_the_wrong_shape():
     table.images[edge] = Chain.zero(0, 2)
     with pytest.raises(ArityError):
         table.apply(Chain.of(edge))
+
+
+# The chain-map image scan that reads every term at every basis element, and
+# the inverse that solves with Chain arithmetic and checks the keys against a
+# built basis.  The level-by-level scan and the tuple solve must give the same
+# dicts and terms in the same order, and the same errors.
+
+
+def per_element_image_terms(terms, verts):
+    k = len(verts)
+    pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
+    # The image is non-decreasing, so it is a basis element when distinct.
+    return _sum_pairs(
+        (image, c) for values, c in terms if len(set(image := pick(values))) == k
+    )
+
+
+def per_element_images(x):
+    terms = [(f.values, c) for f, c in x.terms.items()]
+    for k in range(1, x.domain + 2):
+        for verts in combinations(range(x.domain + 1), k):
+            yield verts, per_element_image_terms(terms, verts)
+
+
+def pair_map(a, b, m):
+    av, bv = a.vertices, b.vertices
+    values = []
+    i = 0
+    for j in range(m + 1):
+        if i + 1 < len(av) and j >= av[i + 1]:
+            i += 1
+        values.append(bv[i])
+    return MonotoneMap(tuple(values), b.ambient)
+
+
+def basis_set_check_shapes(table):
+    expected = set(basis_elements(table.m))
+    if set(table.images) != expected:
+        raise PreconditionError(
+            f"table must cover exactly the basis of the complex on {table.m}"
+        )
+    for b, chain in table.images.items():
+        if not isinstance(chain, Chain) or chain._shape != (b.dimension, table.n):
+            raise PreconditionError(f"image of {b} has the wrong shape")
+    return expected
+
+
+def chain_solve_from_chain_map(table):
+    basis_set_check_shapes(table)
+    m, n = table.m, table.n
+    acc = {}
+    for q in range(m, -1, -1):
+        for rest in combinations(range(1, m + 1), q):
+            a = BasisElt._make((0,) + rest, m)
+            terms = [(f.values, c) for f, c in acc.items()]
+            need = table.images[a] - Chain._summed(
+                q, n, per_element_image_terms(terms, a.vertices).items()
+            )
+            acc.update((pair_map(a, b, m), c) for b, c in need.terms.items())
+    acc = ZMorphism._make(m, n, acc)
+    for verts, image in per_element_images(acc):
+        want = table.images[BasisElt._make(verts, m)].terms
+        if image != {e.vertices: c for e, c in want.items()}:
+            table.validate()
+            raise AssertionError("chain-map inversion failed to reproduce the table")
+    return acc
+
+
+def scan_samples():
+    """Members, near-members and arbitrary sums at m <= 7, with the zero
+    combination and domain 0 among them."""
+    rng = random.Random(1212)
+    out = MEMBERS + NEAR
+    out += [random_oriental(rng, 7, rng.randint(1, 8), max_domain=5) for _ in range(6)]
+    out += [random_zmorphism(rng, rng.randint(0, 7), rng.randint(0, 6), max_terms=8, lo=-2, hi=2)
+            for _ in range(60)]
+    out += [ZMorphism.zero(m, rng.randint(0, 3)) for m in range(8)]
+    return out
+
+
+SCAN_SAMPLES = scan_samples()
+
+
+def ordered(images):
+    return [(verts, list(image.items())) for verts, image in images]
+
+
+def test_level_scan_matches_the_per_element_scan_in_order():
+    assert {x.domain for x in SCAN_SAMPLES} == set(range(8))
+    assert sum(x.coefficient_sum() != 1 for x in SCAN_SAMPLES) >= 40
+    assert any(x.is_zero() and x.domain == 0 for x in SCAN_SAMPLES)
+    for x in SCAN_SAMPLES:
+        assert ordered(_images(x)) == ordered(per_element_images(x)), str(x)
+
+
+def test_tuple_solve_matches_chain_solve_in_term_order():
+    for x in SCAN_SAMPLES:
+        table = to_chain_map(x)
+        got = outcome(from_chain_map, table)
+        assert got == outcome(chain_solve_from_chain_map, table), str(x)
+        assert from_chain_map(table) == x
+    for m in range(4):
+        for a in basis_elements(m):
+            if a.vertices[0] == 0:
+                for b in basis_elements(3, a.dimension):
+                    assert map_from_pair(a, b, m) == pair_map(a, b, m)
+
+
+def tampered_tables(seed, count):
+    """Tables of seeded samples edited at a seeded basis element: the image
+    replaced by another chain of its shape, by a scaled copy, by a chain of
+    the wrong dimension or codomain, or by a non-chain; the key dropped, or
+    swapped for the same vertices in another ambient or for a plain tuple,
+    which keeps the key count; or an extra key."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x = rng.choice(SCAN_SAMPLES)
+        m, n = x.domain, x.codomain
+        table = to_chain_map(x)
+        b = rng.choice(basis_elements(m))
+        q = b.dimension
+        kind = rng.randrange(9)
+        if kind == 0 and q <= n:
+            other = rng.choice(basis_elements(n, q))
+            table.images[b] = table.images[b] + Chain.of(other, rng.choice((-2, -1, 1, 2)))
+        elif kind == 1:
+            table.images[b] = 2 * table.images[b]
+        elif kind == 2:
+            table.images[b] = Chain.zero(q + 1, n)
+        elif kind == 3:
+            table.images[b] = Chain.zero(q, n + 1)
+        elif kind == 4:
+            table.images[b] = table.images[b].terms
+        elif kind == 5:
+            del table.images[b]
+        elif kind == 6:
+            table.images[BasisElt(b.vertices, m + 1)] = table.images.pop(b)
+        elif kind == 7:
+            table.images[b.vertices] = table.images.pop(b)
+        else:
+            table.images[BasisElt(tuple(range(m + 2)), m + 1)] = Chain.zero(m + 1, n)
+        out.append(table)
+    return out
+
+
+REJECTIONS = (
+    "table must cover exactly the basis",
+    "image of",
+    "vertex images have inconsistent augmentation",
+    "table does not commute with the boundary",
+)
+
+
+def test_tuple_solve_rejects_tables_as_the_chain_solve_does():
+    tables = [_edited_table(edit) for edit, _ in INVALID_TABLES.values()]
+    tables += tampered_tables(1313, 150)
+    tables += [ChainMapTable(m, 0, {}) for m in (-1, True, 1.0)]
+    rejected = set()
+    for table in tables:
+        expected = outcome(chain_solve_from_chain_map, table)
+        assert outcome(from_chain_map, table) == expected
+        if expected[0] is PreconditionError:
+            rejected.add(next(p for p in REJECTIONS if expected[1].startswith(p)))
+        else:
+            assert isinstance(expected, list) or expected[0] is ValueError
+    assert rejected == set(REJECTIONS)
 
 
 # Fillers, pastings, splits and the unit rule, as the repeated ZMorphism

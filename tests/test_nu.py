@@ -1,14 +1,18 @@
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
 
+from osimplex import nu
 from osimplex.chains import (
     BasisElt,
     Chain,
     basis_elements,
     check_strongly_loopfree,
     check_unital,
+    to_chain_map,
 )
 from osimplex.errors import (
     ArityError,
@@ -28,7 +32,7 @@ from osimplex.nu import (
     violations,
 )
 from osimplex.oriental import check_membership
-from osimplex.zdelta import parse_zmorphism
+from osimplex.zdelta import ZMorphism, parse_zmorphism
 
 from conftest import random_oriental
 
@@ -353,3 +357,38 @@ def test_cell_json_rejects_non_integer_fields():
         target[path[-1]] = bad
         with pytest.raises(ParseError, match="must be an integer"):
             Cell.from_json(broken)
+
+
+def test_values_pickle_and_copy_through_their_constructors(monkeypatch):
+    x = parse_zmorphism("(1,2,2) - (1,1,2) + (0,1,2)", 2)
+    chain = Chain(1, 2, [((1, 2), -1), ((0, 1), 2)])
+    cell = next(c for c in enumerate_cells(2) if c.dimension == 2)
+    table = to_chain_map(x)
+    copiers = (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy)
+    for copier in copiers:
+        for value in (x, chain, cell):
+            twin = copier(value)
+            assert twin == value and hash(twin) == hash(value)
+            if value is cell:
+                assert twin.pairs == cell.pairs
+            else:
+                assert list(twin.terms.items()) == list(value.terms.items())
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.ambient = 3
+        twin = copier(table)
+        assert twin == table and twin.images is not table.images
+    # Unpickling runs the constructors' checks again.
+    data = [pickle.dumps(value) for value in (x, chain, cell)]
+
+    def refuse(*args):
+        raise ArityError("checked")
+
+    monkeypatch.setattr(ZMorphism, "_check_key", staticmethod(refuse))
+    monkeypatch.setattr(Chain, "_check_key", staticmethod(refuse))
+    for blob in data[:2]:
+        with pytest.raises(ArityError, match="checked"):
+            pickle.loads(blob)
+    monkeypatch.undo()
+    monkeypatch.setattr(nu, "violations", lambda n, pairs: [1])
+    with pytest.raises(CellConditionError):
+        pickle.loads(data[2])
