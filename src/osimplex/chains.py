@@ -208,16 +208,15 @@ class UnitalityReport:
 
 def check_unital(n):
     """Check that both fully iterated boundary parts of every basis element
-    have augmentation 1; returns a truthy/falsy report listing failures."""
+    have augmentation 1, read once per dimension off [0,...,p] (see
+    _relabelled); returns a truthy/falsy report listing failures."""
+    if type(n) is not int or n < 0:
+        basis_elements(n)  # raises ValueError
     failures = []
-    ends = {}  # p -> the p-fold negative and positive parts of [0,...,p]
-    for b in basis_elements(n):
-        p = b.dimension
-        if p not in ends:
-            ends[p] = [_part_tower(p, p, sign)[p] for sign in "-+"]
-        eps_minus, eps_plus = (_relabelled(b, end, 0).augmentation() for end in ends[p])
+    for p in range(n + 1):
+        eps_minus, eps_plus = (sum(_part_tower(p, p, sign)[p].values()) for sign in "-+")
         if eps_minus != 1 or eps_plus != 1:
-            failures.append((b, eps_minus, eps_plus))
+            failures.extend((b, eps_minus, eps_plus) for b in basis_elements(n, p))
     return UnitalityReport(n, failures)
 
 
@@ -323,22 +322,17 @@ class ChainMapTable:
 
         Checks the key set, image shapes, commutation with the boundary and
         constancy of the augmentation on vertex images (the induced integer
-        multiplier on the augmentation module).
+        multiplier on the augmentation module).  A table that does not
+        commute is named by its first failing element in basis order.
         """
         self._check_shapes()
-        basis = set(basis_elements(self.m))
-        degrees = {
-            self.images[b].augmentation()
-            for b in basis
-            if b.dimension == 0
-        }
+        degrees = {self.images[b].augmentation() for b in basis_elements(self.m, 0)}
         if len(degrees) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
-        for b in basis:
-            if b.dimension == 0:
-                continue
+        # The first m + 1 elements are the vertices, which have no boundary.
+        for b in basis_elements(self.m)[self.m + 1:]:
             unit = Chain._make(b.dimension, self.m, {b: 1})
             via_faces = self.apply(unit.boundary())
             via_image = self.images[b].boundary()
@@ -375,11 +369,14 @@ class ChainMapTable:
 
 
 def _table(x, images):
-    """The chain map of x from its zdelta._images pairs."""
+    """The chain map of x from its zdelta._images pairs.  Most images are
+    empty, and chains are immutable, so each dimension shares one zero."""
     m, n = x.domain, x.codomain
+    zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
     return ChainMapTable(m, n, (
         (BasisElt._make(verts, m),
-         Chain._make(len(verts) - 1, n, {BasisElt._make(v, n): c for v, c in image.items()}))
+         Chain._make(len(verts) - 1, n, {BasisElt._make(v, n): c for v, c in image.items()})
+         if image else zeros[len(verts) - 1])
         for verts, image in images
     ))
 

@@ -356,19 +356,15 @@ def enumerate_cells(n, bound=3, max_cells=None):
             return
         if q >= n:
             return
-        key = (delta, q + 1)
-        ups = preimages.get(key)
+        ups = preimages.get(delta)
         if ups is None:
-            ups = preimages[key] = _nonneg_preimages(delta, q + 1)
+            ups = preimages[delta] = _nonneg_preimages(delta, q + 1)
         for up_neg in ups:
             for up_pos in ups:
                 extend(pairs + [(up_neg, up_pos)], q + 1)
 
-    for s, t in product(range(n + 1), repeat=2):
-        bottom = (
-            Chain(0, n, [((s,), 1)]),
-            Chain(0, n, [((t,), 1)]),
-        )
+    vertices = [Chain(0, n, [((v,), 1)]) for v in range(n + 1)]
+    for bottom in product(vertices, repeat=2):
         extend([bottom], 0)
     return cells
 
@@ -384,14 +380,18 @@ def _atom_closure(n):
     """The closure of the atoms over {0,...,n} under identities and
     composition, by semi-naive rounds: each round pairs only the cells new in
     the round before with the cells generated so far, in both orders, found
-    through their level-p sources and targets."""
+    through their level-p sources and targets.  A cell is filed only at the
+    levels up to its dimension: there its identities have dimension p, and
+    above it they are the cell itself, so a pair that meets at a level above
+    either dimension is a cell with itself, which composes to that cell."""
     generated = set()
     by_source = {}  # (p, source at p) -> cells
     by_target = {}  # (p, target at p) -> cells
     frontier = set(_atoms(basis_elements(n)))
     while frontier:
         generated |= frontier
-        ends = {x: [(x.source(p), x.target(p)) for p in range(n + 1)] for x in frontier}
+        ends = {x: [(x.source(p), x.target(p)) for p in range(x.dimension + 1)]
+                for x in frontier}
         for x, levels in ends.items():
             for p, (s, t) in enumerate(levels):
                 by_source.setdefault((p, s), []).append(x)
@@ -401,13 +401,11 @@ def _atom_closure(n):
             for p, (s, t) in enumerate(levels):
                 fresh.add(s)
                 fresh.add(t)
-                # Above both dimensions only x composes with itself, giving x.
                 for y in by_source.get((p, t), ()):
-                    if p <= max(x.dimension, y.dimension):
-                        fresh.add(x.compose(y, p))
+                    fresh.add(x.compose(y, p))
                 # Pairs within the frontier were made above with x on the left.
                 for y in by_target.get((p, s), ()):
-                    if y not in frontier and p <= max(x.dimension, y.dimension):
+                    if y not in frontier:
                         fresh.add(y.compose(x, p))
         frontier = fresh - generated
     return generated

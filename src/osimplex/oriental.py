@@ -147,15 +147,20 @@ def _alpha_beta(x, r, t, pivot):
     return u, v
 
 
+def _split(x, r, t, pivot, terms_ok, describe):
+    """Check the split precondition, then split x at r against t into (u, v)."""
+    _check_split_terms(t, x, terms_ok, describe)
+    u, v = _alpha_beta(x, r, t, pivot)
+    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
+
+
 def split_start(r, t, x):
     """Split off a filler on the right at position r, for x whose terms all
     satisfy a_r < t.  Returns (u, v) with x = pasting(r, u, v), where v is the
     filler of its own outer faces and every term of u has a_{r+1} < t."""
     if not 0 <= r <= x.domain - 2:
         raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
-    _check_split_terms(t, x, lambda a: a[r] < t, f"entry {r} must be below {t}")
-    u, v = _alpha_beta(x, r, t, pivot=r + 1)
-    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
+    return _split(x, r, t, r + 1, lambda a: a[r] < t, f"entry {r} must be below {t}")
 
 
 def split_middle(t, x):
@@ -165,9 +170,7 @@ def split_middle(t, x):
     m = x.domain
     if m <= 0:
         raise PreconditionError("the middle split needs domain at least 1")
-    _check_split_terms(t, x, lambda a: a[m - 1] < t, f"entry {m - 1} must be below {t}")
-    u, v = _alpha_beta(x, m - 1, t, pivot=m)
-    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
+    return _split(x, m - 1, t, m, lambda a: a[m - 1] < t, f"entry {m - 1} must be below {t}")
 
 
 def split_finish(r, t, x):
@@ -177,13 +180,11 @@ def split_finish(r, t, x):
     every term of v has a_r = a_m or a_m = t."""
     if not 0 <= r <= x.domain - 2:
         raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
-    _check_split_terms(
-        t, x,
+    return _split(
+        x, r, t, x.domain,
         lambda a: a[r + 1] == a[-1] or a[-1] == t,
         f"entry {r + 1} must equal the last entry unless that entry is {t}",
     )
-    u, v = _alpha_beta(x, r, t, pivot=x.domain)
-    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_enumeration_cap_still_raises():
         enumerate_cells(4, bound=4, max_cells=10)
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_basis_checks_match_reference(n):
     got, want = check_unital(n), reference_check_unital(n)
     assert got.failures == want.failures

@@ -139,6 +139,16 @@ def test_from_chain_map_rejects_invalid_tables_as_validate_does(case):
     assert str(got.value).startswith(message)
 
 
+def test_a_non_commuting_table_is_named_by_its_first_element_in_basis_order():
+    table = to_chain_map(ZMorphism.generator(identity(3)))
+    for b in basis_elements(3, 1):
+        table.images[b] = Chain.zero(1, 3)
+    for check in (table.validate, lambda: from_chain_map(table)):
+        with pytest.raises(PreconditionError) as err:
+            check()
+        assert str(err.value) == "table does not commute with the boundary at [0,1]"
+
+
 def test_from_chain_map_makes_no_boundary_calls_on_a_valid_table(monkeypatch):
     # Counted rather than timed: the round trip itself proves a valid table
     # valid, so the boundary checks of validate never run.
