@@ -248,14 +248,16 @@ def _lf_less(av, bv):
 
 def check_strongly_loopfree(n):
     """Check that the recursive total order places every negative boundary
-    term below its element and every positive term above it."""
+    term below its element and every positive term above it, once per
+    dimension on [0,...,p]: _lf_less only compares vertices, and an
+    injective monotone relabelling keeps every comparison."""
     if type(n) is not int or n < 0:
-        raise ValueError("n must be an integer and the dimension nonnegative")
+        basis_elements(n)  # raises ValueError
     for p in range(1, n + 1):
-        for verts in combinations(range(n + 1), p + 1):
-            for face, sign in _faces([(verts, 1)]):
-                if not (_lf_less(verts, face) if sign > 0 else _lf_less(face, verts)):
-                    return False
+        verts = tuple(range(p + 1))
+        for face, sign in _faces([(verts, 1)]):
+            if not (_lf_less(verts, face) if sign > 0 else _lf_less(face, verts)):
+                return False
     return True
 
 

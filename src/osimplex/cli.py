@@ -78,20 +78,19 @@ def _load_expression(arg, n):
     return _load(arg, n, parse_expr, from_json)
 
 
-def _size(args):
-    """The n argument of enumerate, atoms and verify-basis."""
-    if args.size < 0:
-        raise ParseError(f"n must be a nonnegative integer, got {args.size}")
-    return args.size
+def _nonnegative(name, value):
+    """An integer argument of enumerate, atoms or verify-basis: n or a bound."""
+    if value < 0:
+        raise ParseError(f"{name} must be a nonnegative integer, got {value}")
+    return value
 
 
 def _basis_size(args):
     """The n argument of atoms and verify-basis, whose work grows with the
     2^(n+1) - 1 basis elements; --max-basis lifts the default bound."""
-    n = _size(args)
+    n = _nonnegative("n", args.size)
     bound = _BASIS_DEFAULT_BOUND if args.max_basis is None else args.max_basis
-    if bound < 0:
-        raise ParseError(f"--max-basis must be a nonnegative integer, got {bound}")
+    _nonnegative("--max-basis", bound)
     # 2^(n+1) - 1 <= bound exactly when n + 1 < (bound + 1).bit_length().
     if n + 1 >= (bound + 1).bit_length():
         raise EnumerationLimitError(
@@ -173,7 +172,9 @@ def _cmd_eval(args):
 def _cmd_enumerate(args):
     from .nu import enumerate_cells
 
-    n = _size(args)
+    n = _nonnegative("n", args.size)
+    if args.max_cells is not None:
+        _nonnegative("--max-cells", args.max_cells)
     bound = _ENUM_DEFAULT_BOUND if args.max_cells is None else n
     cells = enumerate_cells(n, bound=bound, max_cells=args.max_cells)
     ordered = sorted(cells, key=lambda c: (c.dimension, str(c)))

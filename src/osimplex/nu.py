@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .zdelta import _images, _membership, _sum_pairs
+from .zdelta import _images, _membership
 
 
 def violations(n, pairs):
@@ -62,6 +62,22 @@ def violations(n, pairs):
     if pairs[0][0].augmentation() != 1 or pairs[0][1].augmentation() != 1:
         broken.add(5)
     return sorted(broken)
+
+
+def _level(p):
+    """p, checked to be a cell level: an int, not a bool, and nonnegative."""
+    if type(p) is not int or p < 0:
+        raise PreconditionError("identity level must be nonnegative")
+    return p
+
+
+def _identity_levels(pairs, p, side):
+    """The levels of the identity at level p on side 0 (source) or 1 (target):
+    the pairs below p, then that side's level-p chain twice; or all pairs."""
+    if p >= len(pairs):
+        return pairs
+    glue = pairs[p][side]
+    return pairs[:p] + ((glue, glue),)
 
 
 class Cell:
@@ -108,59 +124,44 @@ class Cell:
 
     def pair(self, q):
         """The chain pair in dimension q, zero above the top level."""
-        if q < len(self.pairs):
+        if _level(q) < len(self.pairs):
             return self.pairs[q]
-        zero = Chain.zero(q, self.ambient)
+        zero = Chain._make(q, self.ambient, {})
         return (zero, zero)
 
     def source(self, p):
         """The left identity at level p: truncate and make level p diagonal."""
-        return self._identity(p, 0)
+        return Cell._make(self.ambient, _identity_levels(self.pairs, _level(p), 0))
 
     def target(self, p):
         """The right identity at level p: truncate and make level p diagonal."""
-        return self._identity(p, 1)
-
-    def _identity(self, p, side):
-        if p < 0:
-            raise PreconditionError("identity level must be nonnegative")
-        if p >= len(self.pairs):
-            return self
-        glue = self.pairs[p][side]
-        return Cell._make(self.ambient, self.pairs[:p] + ((glue, glue),))
+        return Cell._make(self.ambient, _identity_levels(self.pairs, _level(p), 1))
 
     def compose(self, other, p):
         """The composite of self followed by other across level p.
 
         Defined when the level-p target of self equals the level-p source of
-        other; the result, the termwise sum of both cells minus their shared
-        identity, is a cell by Steiner (HHA 2004) and is not checked again.
-        The identities are compared on their level tuples.  Below level p
-        all three cells agree, so self's levels are kept; from p up each
-        chain is one sum of the three cells' terms.
+        other, compared on their level tuples.  The result, the termwise sum
+        of both cells minus their shared identity, is a cell by Steiner (HHA
+        2004) and is not checked again: self's levels below p, self's
+        negative and other's positive chain at p, and above p, where the
+        identity has no level, one sum of the two cells' chains per side.
         """
         if not isinstance(other, Cell) or other.ambient != self.ambient:
             raise ArityError("cells must live over the same complex to compose")
-        if p < 0:
-            raise PreconditionError("identity level must be nonnegative")
         x, y = self.pairs, other.pairs
-        shared = x if p >= len(x) else x[:p] + ((x[p][1], x[p][1]),)
-        if shared != (y if p >= len(y) else y[:p] + ((y[p][0], y[p][0]),)):
+        if _identity_levels(x, _level(p), 1) != _identity_levels(y, p, 0):
             raise NotComposableError(
                 f"cells do not meet across level {p}: the left target differs "
                 f"from the right source"
             )
+        if p >= len(x):  # the meet has forced other == self
+            return self
         pairs = list(x[:p])
-        for q in range(p, max(len(x), len(y))):
-            pairs.append(tuple(
-                Chain._make(q, self.ambient, _sum_pairs(
-                    (key, sign * c)
-                    for levels, sign in ((x, 1), (shared, -1), (y, 1))
-                    if q < len(levels)
-                    for key, c in levels[q][side].terms.items()
-                ))
-                for side in (0, 1)
-            ))
+        pairs.append((x[p][0], y[p][1]))
+        for q in range(p + 1, max(len(x), len(y))):
+            (x_neg, x_pos), (y_neg, y_pos) = self.pair(q), other.pair(q)
+            pairs.append((x_neg + y_neg, x_pos + y_pos))
         return Cell._make(self.ambient, pairs)
 
     def __eq__(self, other):
@@ -236,13 +237,6 @@ def _atoms(elements):
         yield Cell._make(b.ambient, pairs)
 
 
-def _first_vertex_weight(chain):
-    """Pair a chain with the first-vertex functional; on the boundary of any
-    basis element this functional evaluates to a strictly positive integer,
-    which bounds coefficient sums of nonnegative boundary preimages."""
-    return sum(c * b.vertices[0] for b, c in chain.terms.items())
-
-
 def _nonneg_preimages(delta, q):
     """All nonnegative q-chains whose boundary equals delta, in basis order
     with coefficients ascending, by a search that keeps the residual
@@ -259,7 +253,7 @@ def _nonneg_preimages(delta, q):
     since only values no preimage takes are cut.
     """
     n = delta.ambient
-    budget = _first_vertex_weight(delta)
+    budget = sum(c * b.vertices[0] for b, c in delta.terms.items())  # delta's weight
     if budget < 0:
         return []
     basis = basis_elements(n, q)
@@ -331,7 +325,7 @@ def enumerate_cells(n, bound=3, max_cells=None):
     larger searches) or when more than max_cells cells appear.
     """
     if type(n) is not int or n < 0:
-        raise ValueError("n must be an integer and the dimension nonnegative")
+        basis_elements(n)  # raises ValueError
     if n > bound:
         raise EnumerationLimitError(
             f"enumeration of cells at n={n} exceeds the bound {bound}; "

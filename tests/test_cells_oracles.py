@@ -16,6 +16,7 @@ import pytest
 
 from osimplex import chains, cli, nu
 from osimplex.chains import (
+    BasisElt,
     Chain,
     UnitalityReport,
     basis_elements,
@@ -361,8 +362,10 @@ def test_atoms_build_each_part_tower_once_per_call(monkeypatch, capsys):
 
 
 def test_check_strongly_loopfree_compares_every_face(monkeypatch):
-    """The check compares each element with each of its faces, in the
-    order its boundary sign asks for."""
+    """The check compares [0,...,p] with each of its faces once, for every
+    p from 1 to n, in the order its boundary sign asks for: the order reads
+    vertices only through order and equality, so [0,...,p] stands for every
+    element of dimension p."""
     n = 5
     true_less = chains._lf_less
     seen = []
@@ -375,8 +378,9 @@ def test_check_strongly_loopfree_compares_every_face(monkeypatch):
     assert check_strongly_loopfree(n)
     want = [
         (face.vertices, b.vertices) if c < 0 else (b.vertices, face.vertices)
-        for b in basis_elements(n)
-        if b.dimension
+        for p in range(1, n + 1)
+        for b in [BasisElt(tuple(range(p + 1)), n)]
         for face, c in Chain.of(b).boundary().terms.items()
     ]
     assert sorted(seen) == sorted(want)
+    assert len(seen) == len(set(seen)) == sum(p + 1 for p in range(1, n + 1))

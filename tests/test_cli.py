@@ -304,6 +304,12 @@ def test_enumerate_negative_size_exits_2(capsys):
     _assert_parse_exit(*run(capsys, "enumerate", "-1", "--max-cells", "5"))
 
 
+def test_enumerate_negative_max_cells_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "0", "--max-cells", "-1")
+    _assert_parse_exit(code, out, err)
+    assert err == "parse error: --max-cells must be a nonnegative integer, got -1\n"
+
+
 def test_atoms_negative_size_exits_2(capsys):
     _assert_parse_exit(*run(capsys, "atoms", "-1"))
 

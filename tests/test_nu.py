@@ -101,6 +101,25 @@ def test_identity_examples():
     assert a01.target(1) == a01
 
 
+@pytest.mark.parametrize("level", [-1, 1.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, p: x.pair(p),
+        lambda x, p: x.source(p),
+        lambda x, p: x.target(p),
+        lambda x, p: x.compose(x, p),
+    ],
+    ids=["pair", "source", "target", "compose"],
+)
+def test_cell_levels_must_be_nonnegative_ints(call, level):
+    """A level is an int, not a bool, and nonnegative, on every cell method,
+    whether or not it lies above the cell's top level."""
+    for b in (BasisElt((0,), 1), BasisElt((0, 1), 1)):
+        with pytest.raises(PreconditionError, match="identity level must be nonnegative"):
+            call(atom(b), level)
+
+
 def test_compose_example():
     x = atom(BasisElt((0, 1), 2))
     y = atom(BasisElt((1, 2), 2))
