@@ -186,7 +186,7 @@ def iterated_boundary_part(b, k, sign):
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
     p = b.dimension
-    if not 0 <= k <= p:
+    if type(k) is not int or not 0 <= k <= p:
         raise PreconditionError(f"iteration count {k} out of range for dimension {p}")
     return _relabelled(b, _part_tower(p, k, sign)[k], p - k)
 

@@ -326,6 +326,8 @@ def enumerate_cells(n, bound=3, max_cells=None):
     """
     if type(n) is not int or n < 0:
         basis_elements(n)  # raises ValueError
+    if max_cells is not None and (type(max_cells) is not int or max_cells < 0):
+        raise ValueError(f"max_cells must be None or a nonnegative integer, got {max_cells!r}")
     if n > bound:
         raise EnumerationLimitError(
             f"enumeration of cells at n={n} exceeds the bound {bound}; "

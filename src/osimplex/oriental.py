@@ -32,7 +32,7 @@ def _check_filler_pre(i, x, y):
     if not isinstance(x, ZMorphism) or not isinstance(y, ZMorphism):
         raise ArityError("filler and pasting act on combinations of monotone maps")
     x._check_shape(y)
-    if not 0 <= i <= x.domain - 1:
+    if type(i) is not int or not 0 <= i <= x.domain - 1:
         raise NotComposableError(f"index {i} out of range for domain {x.domain}")
     return _values(x), _values(y)
 
@@ -123,17 +123,17 @@ def _check_split_terms(t, x, terms_ok, describe):
 
 
 def _alpha_beta(x, r, t, pivot):
-    """The linear start/finish splitting of x at position r against t.
+    """The linear splitting of the value dict x at position r against t.
 
     pivot selects the entry whose comparison with t drives the case split:
-    the entry after r for the start split, the final entry for the finish
-    split.  Returns the value dicts (u, v) with x = pasting(r, u, v) for any
-    x, as each term's two parts cancel in pasting's middle block.
+    the entry after r for the start split, the final entry for the middle
+    and finish splits.  Returns the value dicts (u, v), zero sums dropped,
+    with x = pasting(r, u, v) for any x, as each term's two parts cancel in
+    pasting's middle block.
     """
     alpha = {}
     beta = {}
-    for f, c in x.terms.items():
-        a = f.values
+    for a, c in x.items():
         if a[pivot] < t:
             ua = a
             va = a[:r] + (a[r + 1], a[r + 1]) + a[r + 2:]
@@ -142,15 +142,13 @@ def _alpha_beta(x, r, t, pivot):
             va = a
         alpha[ua] = alpha.get(ua, 0) + c
         beta[va] = beta.get(va, 0) + c
-    u = {a: c for a, c in alpha.items() if c}
-    v = {a: c for a, c in beta.items() if c}
-    return u, v
+    return tuple({a: c for a, c in d.items() if c} for d in (alpha, beta))
 
 
 def _split(x, r, t, pivot, terms_ok, describe):
     """Check the split precondition, then split x at r against t into (u, v)."""
     _check_split_terms(t, x, terms_ok, describe)
-    u, v = _alpha_beta(x, r, t, pivot)
+    u, v = _alpha_beta(_values(x), r, t, pivot)
     return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
 
 
@@ -158,7 +156,7 @@ def split_start(r, t, x):
     """Split off a filler on the right at position r, for x whose terms all
     satisfy a_r < t.  Returns (u, v) with x = pasting(r, u, v), where v is the
     filler of its own outer faces and every term of u has a_{r+1} < t."""
-    if not 0 <= r <= x.domain - 2:
+    if type(r) is not int or not 0 <= r <= x.domain - 2:
         raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
     return _split(x, r, t, r + 1, lambda a: a[r] < t, f"entry {r} must be below {t}")
 
@@ -178,7 +176,7 @@ def split_finish(r, t, x):
     satisfy a_{r+1} = a_m or a_m = t.  Returns (u, v) with
     x = pasting(r, u, v), where u is the filler of its own outer faces and
     every term of v has a_r = a_m or a_m = t."""
-    if not 0 <= r <= x.domain - 2:
+    if type(r) is not int or not 0 <= r <= x.domain - 2:
         raise PreconditionError(f"split index {r} out of range for domain {x.domain}")
     return _split(
         x, r, t, x.domain,
@@ -597,17 +595,17 @@ def factorize(x, simplify_output=True):
     morphism's tree.  Each filler's two faces live one domain down, so the
     recursion terminates along (domain, greatest vertex).
 
-    Only x is tested for membership: the splits of a member are members, so
-    each *distinct* recursive input is factorized once, unchecked, and shared.
-    Evaluating the finished tree with the checked kernels catches a wrong
-    split, residue or leaf; tests/test_factorize_fixture.py and
-    tests/test_kernel_oracles.py check the membership and filler invariants.
+    Only x is tested for membership: the splits of a member are members that
+    meet the split preconditions, as tests/test_factorize_fixture.py and
+    tests/test_kernel_oracles.py check, so the recursion runs unchecked on
+    value dicts {value tuple: coefficient}, once per *distinct* input, and
+    evaluating the tree with the checked kernels catches a wrong node.
     """
     result = check_membership(x)
     if not result.ok:
         raise PreconditionError(f"factorize requires an oriental morphism: {result.reason}")
     table = {}
-    expr = _factorize_member(x, {}, {}, table)
+    expr = _factorize_member(_values(x), x.codomain, {}, {}, table)
     if simplify_output:
         expr = _rewrite(expr, _drop_unit, {}, table)
     if expr.evaluate() != x:
@@ -615,48 +613,48 @@ def factorize(x, simplify_output=True):
     return expr
 
 
-def _factorize_member(x, memo, appended, table):
-    """The factorization of x, looked up in or added to memo, which maps the
-    inputs already factorized in this call to their trees; appended holds
-    the _append_to_leaves memo for each t, and table hash-conses every node."""
-    expr = memo.get(x)
+def _factorize_member(x, n, memo, appended, table):
+    """The factorization of the value dict x over codomain n, found in or
+    added to memo, which maps the inputs already factorized to their trees;
+    appended holds the _append_to_leaves memo per t; table hash-conses nodes."""
+    key = frozenset(x.items())
+    expr = memo.get(key)
     if expr is None:
-        expr = memo[x] = _factorize_new(x, memo, appended, table)
+        expr = memo[key] = _factorize_new(x, n, memo, appended, table)
     return expr
 
 
-def _factorize_new(x, memo, appended, table):
-    m = x.domain
-    _, t = first_last(x)
-    constant = MonotoneMap((t,) * (m + 1), x.codomain)
-    if x.coefficient(constant):
-        return _cons(table, Leaf(constant))
+def _factorize_new(x, n, memo, appended, table):
+    m = len(next(iter(x))) - 1
+    t = max(a[-1] for a in x)
+    constant = (t,) * (m + 1)
+    if constant in x:
+        return _cons(table, Leaf(MonotoneMap._make(constant, n)))
 
     # Fillers split off below the top position, collected outermost-last.
     start_fillers = []
     current = x
     for r in range(0, m - 1):
-        current, v = split_start(r, t, current)
-        node = _factorize_filler(r, v, memo, appended, table)
+        current, v = _alpha_beta(current, r, t, r + 1)
+        node = _factorize_filler(r, v, n, memo, appended, table)
         start_fillers.append((r, node))
 
     # The top-position split lowers the greatest vertex of the left factor:
     # each of its terms ends at an a_{m-1} or an a_m below t.
-    left, current = split_middle(t, current)
-    left_tree = _factorize_member(left, memo, appended, table)
+    left, current = _alpha_beta(current, m - 1, t, m)
+    left_tree = _factorize_member(left, n, memo, appended, table)
 
     # Fillers split off on the left, top position downward.
     finish_fillers = []
     for r in range(m - 2, -1, -1):
-        u, current = split_finish(r, t, current)
-        node = _factorize_filler(r, u, memo, appended, table)
+        u, current = _alpha_beta(current, r, t, m)
+        node = _factorize_filler(r, u, n, memo, appended, table)
         finish_fillers.append((r, node))
 
     # The residue ends at t everywhere; recurse one domain down and append t.
-    below = _factorize_member(current.face(m), memo, appended, table)
-    residue_tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
+    below = _factorize_member(_face(current, m), n, memo, appended, table)
+    tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
 
-    tree = residue_tree
     for r, node in reversed(finish_fillers):
         tree = _cons(table, Pasting(r, node, tree))
     tree = _cons(table, Pasting(m - 1, left_tree, tree))
@@ -665,10 +663,10 @@ def _factorize_new(x, memo, appended, table):
     return tree
 
 
-def _factorize_filler(r, v, memo, appended, table):
+def _factorize_filler(r, v, n, memo, appended, table):
     """The filler node at r of the factorizations of the outer faces of v."""
-    left = _factorize_member(v.face(r + 2), memo, appended, table)
-    return _cons(table, Filler(r, left, _factorize_member(v.face(r), memo, appended, table)))
+    left = _factorize_member(_face(v, r + 2), n, memo, appended, table)
+    return _cons(table, Filler(r, left, _factorize_member(_face(v, r), n, memo, appended, table)))
 
 
 def _append_to_leaves(expr, t, memo, table):

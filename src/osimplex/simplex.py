@@ -145,14 +145,14 @@ def face_generator(i, m):
     """The injection (0,...,i-1,i+1,...,m) from m-1 to m, omitting i."""
     if m <= 0:
         raise IndexError(f"no face generators into the object {m}")
-    if not 0 <= i <= m:
+    if type(i) is not int or not 0 <= i <= m:
         raise IndexError(f"face index {i} out of range for m={m}")
     return MonotoneMap(tuple(j for j in range(m + 1) if j != i), m)
 
 
 def degeneracy_generator(i, m):
     """The surjection (0,...,i,i,...,m) from m+1 to m, repeating i."""
-    if not 0 <= i <= m:
+    if type(i) is not int or not 0 <= i <= m:
         raise IndexError(f"degeneracy index {i} out of range for m={m}")
     return MonotoneMap(tuple(range(i + 1)) + tuple(range(i, m + 1)), m)
 

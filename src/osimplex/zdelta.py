@@ -137,7 +137,7 @@ class _Combination:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:
             return NotImplemented
         terms = {key: scalar * c for key, c in self.terms.items()} if scalar else {}
         return self._make(*self._shape, terms)
@@ -239,7 +239,7 @@ class ZMorphism(_Combination):
 
     def face(self, i):
         """The i-th face: composition with the injection omitting i."""
-        if self.domain <= 0 or not 0 <= i <= self.domain:
+        if type(i) is not int or self.domain <= 0 or not 0 <= i <= self.domain:
             face_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain - 1, self.codomain, (
             (_repeated(f.values, i, 0), c) for f, c in self.terms.items()
@@ -247,7 +247,7 @@ class ZMorphism(_Combination):
 
     def degeneracy(self, i):
         """The i-th degeneracy: composition with the surjection repeating i."""
-        if not 0 <= i <= self.domain:
+        if type(i) is not int or not 0 <= i <= self.domain:
             degeneracy_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain + 1, self.codomain, (
             (_repeated(f.values, i, 2), c) for f, c in self.terms.items()

@@ -119,3 +119,38 @@ def test_eliminate_pastings_strings_match_reference():
         tree = factorize(x, simplify_output=x.domain >= 3)
         expected = str(reference_eliminate(tree))
         assert str(oriental.eliminate_pastings(tree)) == expected, str(x)
+
+
+def test_recursion_runs_on_value_dicts_without_split_checks(monkeypatch):
+    # Below its one membership check, factorize splits value dicts with
+    # _alpha_beta and takes faces with _face: the public splits, first_last
+    # and ZMorphism.face, which check or build values, are never called.
+    with open(FIXTURE, encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"][::5]
+    identities = [identity(m) for m in range(6)]
+    expected = [(str(factorize(x, simplify_output=False)), str(x)) for x in identities]
+    expected += [(entry["raw"], entry["simplified"]) for entry in entries]
+
+    def forbidden(*args):
+        raise AssertionError("called by the factorize recursion")
+
+    for name in ("split_start", "split_middle", "split_finish", "first_last"):
+        monkeypatch.setattr(oriental, name, forbidden)
+    monkeypatch.setattr(ZMorphism, "face", forbidden)
+    calls = []
+    original = oriental._factorize_new
+
+    def counted(x, *rest):
+        calls.append(x)
+        return original(x, *rest)
+
+    monkeypatch.setattr(oriental, "_factorize_new", counted)
+    xs = identities + [ZMorphism.from_json(entry["x"]) for entry in entries]
+    for x, (raw, simplified) in zip(xs, expected):
+        assert str(factorize(x, simplify_output=False)) == raw, str(x)
+        assert str(factorize(x)) == simplified, str(x)
+    # Each distinct recursive input is solved once per call.
+    for m, distinct in ((4, 80), (5, 215), (6, 561)):
+        calls.clear()
+        factorize(identity(m))
+        assert len(calls) == distinct, m

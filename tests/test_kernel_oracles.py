@@ -30,6 +30,7 @@ from osimplex.oriental import (
     _alpha_beta,
     _check_split_terms,
     _is_unit,
+    _values,
     check_membership,
     filler,
     first_last,
@@ -620,9 +621,10 @@ def test_alpha_beta_matches_reference_on_arbitrary_combinations():
         t = rng.randint(0, x.codomain)
         for pivot in (r + 1, m):
             ref = outcome(reference_alpha_beta, x, r, t, pivot)
-            # The library returns the value dicts of u and v, compared raw so
-            # that a zero coefficient left in either fails.
-            parts = _alpha_beta(x, r, t, pivot)
+            # The library splits the value dict of x into the value dicts of
+            # u and v, compared raw so that a zero coefficient left in either
+            # fails.
+            parts = _alpha_beta(_values(x), r, t, pivot)
             got = [(m, x.codomain, [(MonotoneMap(a, x.codomain), c) for a, c in d.items()])
                    for d in parts]
             assert got == ref, (r, t, pivot, str(x))

@@ -177,6 +177,16 @@ def test_enumerate_resource_bounds():
     assert len(enumerate_cells(2, max_cells=8)) == 8
 
 
+@pytest.mark.parametrize("max_cells", [-1, True, 1.5, "8"])
+def test_max_cells_is_checked_before_the_search(monkeypatch, max_cells):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(nu, "_nonneg_preimages", no_search)
+    with pytest.raises(ValueError, match="max_cells must be None or a nonnegative integer"):
+        enumerate_cells(2, max_cells=max_cells)
+
+
 @pytest.mark.parametrize("n", [-1, True])
 @pytest.mark.parametrize(
     "entry",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from osimplex.chains import BasisElt, iterated_boundary_part
 from osimplex.errors import NotComposableError, PreconditionError
 from osimplex.oriental import (
     check_membership,
@@ -13,7 +14,12 @@ from osimplex.oriental import (
     split_middle,
     split_start,
 )
-from osimplex.simplex import MonotoneMap, enumerate_injective_into
+from osimplex.simplex import (
+    MonotoneMap,
+    degeneracy_generator,
+    enumerate_injective_into,
+    face_generator,
+)
 from osimplex.zdelta import ZMorphism, parse_zmorphism
 
 from conftest import all_domain_one_members, random_oriental
@@ -319,3 +325,34 @@ def test_split_preconditions_raise():
         split_middle(1, x)  # wrong final vertex
     with pytest.raises(PreconditionError):
         split_middle(2, gen((2, 2), 2))  # constant at the greatest vertex
+
+
+CONSTANT = ZMorphism.generator(MonotoneMap((1, 1, 1), 2))
+IDENTITY = ZMorphism.generator(MonotoneMap((0, 1, 2, 3), 3))
+
+# Each entry accepts the indices 0 and 1, and raises the given error for an
+# index out of range.
+INDEX_CALLS = {
+    "face_generator": (lambda i: face_generator(i, 2), IndexError),
+    "degeneracy_generator": (lambda i: degeneracy_generator(i, 2), IndexError),
+    "ZMorphism.face": (lambda i: CONSTANT.face(i), IndexError),
+    "ZMorphism.degeneracy": (lambda i: CONSTANT.degeneracy(i), IndexError),
+    "filler": (lambda i: filler(i, CONSTANT, CONSTANT), NotComposableError),
+    "pasting": (lambda i: pasting(i, CONSTANT, CONSTANT), NotComposableError),
+    "split_start": (lambda i: split_start(i, 3, IDENTITY), PreconditionError),
+    "split_finish": (lambda i: split_finish(i, 3, IDENTITY), PreconditionError),
+    "iterated_boundary_part": (
+        lambda i: iterated_boundary_part(BasisElt((0, 1, 2), 2), i, "-"), PreconditionError
+    ),
+}
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 0.0])
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_index_arguments_are_int_not_bool_or_float(name, index):
+    call, error = INDEX_CALLS[name]
+    call(int(index))
+    with pytest.raises(error):
+        call(-1)
+    with pytest.raises(error):
+        call(index)

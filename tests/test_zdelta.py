@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osimplex.chains import BasisElt, Chain
 from osimplex.errors import ArityError, ParseError
 from osimplex.simplex import MonotoneMap, identity
 from osimplex.zdelta import ZMorphism, check_membership, parse_zmorphism
@@ -168,3 +169,20 @@ def test_membership_witness_is_the_first_negative_term_in_image_order():
     assert result.witness_term == MonotoneMap((2,), 2)
     assert result.witness_coefficient == -1
     assert result.reason == "injective term (2):2 has coefficient -1 in the composite with (0):1"
+
+
+def test_scalars_are_int_not_bool():
+    x = gen((0, 1), 2)
+    y = gen((1, 2), 2, 3)
+    chain = Chain(1, 2, [(BasisElt((0, 1), 2), 1)])
+    for value in (x, chain):
+        for scalar in (True, False):
+            with pytest.raises(TypeError):
+                scalar * value
+            with pytest.raises(TypeError):
+                value * scalar
+    assert 2 * x == x * 2 == gen((0, 1), 2, 2)
+    assert 0 * x == ZMorphism.zero(1, 2)
+    assert -x == gen((0, 1), 2, -1)
+    assert x - y == ZMorphism(1, 2, [((0, 1), 1), ((1, 2), -3)])
+    assert 2 * chain == Chain(1, 2, [(BasisElt((0, 1), 2), 2)])
