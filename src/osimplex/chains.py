@@ -50,7 +50,7 @@ class BasisElt(_Ordered):
         object.__setattr__(b, "ambient", ambient)
         return b
 
-    # Written out like MonotoneMap's: basis elements key the chain dicts.
+    # Written out like MonotoneMap's: basis elements key the chain-map tables.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.vertices, self.ambient) == (other.vertices, other.ambient)
@@ -69,7 +69,9 @@ class BasisElt(_Ordered):
 
 def basis_elements(n, dimension=None):
     """The basis elements of the complex on {0,...,n}, optionally of one dimension."""
-    if type(n) is not int or n < 0 or dimension is not None and dimension < 0:
+    if type(n) is not int or n < 0 or dimension is not None and (
+        type(dimension) is not int or dimension < 0
+    ):
         raise ValueError("n must be an integer and the dimension nonnegative")
     dims = range(n + 1) if dimension is None else [dimension]
     out = []
@@ -86,7 +88,6 @@ class Chain(_Combination):
     _key = BasisElt
     _shape = property(attrgetter("dimension", "ambient"))
     _shape_text = "dim {} in {}"
-    _values = attrgetter("vertices")
     _brackets = "[]"
 
     def __init__(self, dimension, ambient, terms=()):
@@ -102,35 +103,33 @@ class Chain(_Combination):
             raise ArityError(
                 f"term {b} is not {dimension}-dimensional in ambient {ambient}"
             )
-        return b
+        return b.vertices
 
     @classmethod
     def of(cls, b, coefficient=1):
         return cls(b.dimension, b.ambient, [(b, coefficient)])
 
     def is_nonnegative(self):
-        return all(c >= 0 for c in self.terms.values())
+        return all(c >= 0 for c in self._terms.values())
 
     def boundary(self):
         """The alternating-sum boundary; defined for dimension >= 1."""
         if self.dimension < 1:
             raise PreconditionError("0-chains have no boundary")
-        return Chain._summed(self.dimension - 1, self.ambient, _faces(
-            (b.vertices, c) for b, c in self.terms.items()
-        ))
+        return Chain._summed(self.dimension - 1, self.ambient, _faces(self._terms.items()))
 
     def augmentation(self):
         """The sum of coefficients of a 0-chain."""
         if self.dimension != 0:
             raise PreconditionError("augmentation applies to 0-chains only")
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def boundary_parts(self):
         """Split the boundary as (neg, pos): nonnegative chains with disjoint
         supports such that boundary = pos - neg."""
         d = self.boundary()
-        neg = {b: -c for b, c in d.terms.items() if c < 0}
-        pos = {b: c for b, c in d.terms.items() if c > 0}
+        neg = {v: -c for v, c in d._terms.items() if c < 0}
+        pos = {v: c for v, c in d._terms.items() if c > 0}
         return (
             Chain._make(self.dimension - 1, self.ambient, neg),
             Chain._make(self.dimension - 1, self.ambient, pos),
@@ -140,9 +139,7 @@ class Chain(_Combination):
         return f"<Chain dim {self.dimension} in {self.ambient}: {self}>"
 
     def to_json(self):
-        return [
-            {"basis": list(b.vertices), "coef": self.terms[b]} for b in self.support()
-        ]
+        return [{"basis": list(v), "coef": c} for v, c in sorted(self._terms.items())]
 
 
 def _faces(terms):
@@ -171,9 +168,9 @@ def _relabelled(b, terms, q):
     """The q-chain of the position tuples of a _part_tower level, position i
     read as vertex i of b.  An injective monotone map commutes with the
     boundary and keeps its signs, so this is the same part of b."""
-    verts, n = b.vertices, b.ambient
-    return Chain._make(q, n, {
-        BasisElt._make(tuple([verts[i] for i in pos]), n): c for pos, c in terms.items()
+    verts = b.vertices
+    return Chain._make(q, b.ambient, {
+        tuple([verts[i] for i in pos]): c for pos, c in terms.items()
     })
 
 
@@ -268,8 +265,7 @@ def apply_map(f, b):
         raise ArityError(
             f"basis element {b} lives in {b.ambient}, map has domain {f.domain}"
         )
-    image = _image_terms([(f.values, 1)], b.vertices)
-    return Chain._summed(b.dimension, f.codomain, image.items())
+    return Chain._make(b.dimension, f.codomain, _image_terms([(f.values, 1)], b.vertices))
 
 
 class ChainMapTable:
@@ -292,12 +288,13 @@ class ChainMapTable:
         if chain.ambient != self.m:
             raise ArityError(f"chain lives in {chain.ambient}, table has domain {self.m}")
         images = []
-        for b, c in chain.terms.items():
+        for v, c in chain._terms.items():
+            b = BasisElt._make(v, self.m)
             image = self.images[b]
             if image.dimension != chain.dimension or image.ambient != self.n:
                 raise ArityError(f"image of {b} has the wrong shape")
-            images.append((image.terms, c))
-        return Chain._make(chain.dimension, self.n, _sum_pairs(
+            images.append((image._terms, c))
+        return Chain._summed(chain.dimension, self.n, (
             (e, c * ce) for terms, c in images for e, ce in terms.items()
         ))
 
@@ -335,7 +332,7 @@ class ChainMapTable:
             )
         # The first m + 1 elements are the vertices, which have no boundary.
         for b in basis_elements(self.m)[self.m + 1:]:
-            unit = Chain._make(b.dimension, self.m, {b: 1})
+            unit = Chain._make(b.dimension, self.m, {b.vertices: 1})
             via_faces = self.apply(unit.boundary())
             via_image = self.images[b].boundary()
             if via_faces != via_image:
@@ -370,22 +367,17 @@ class ChainMapTable:
         }
 
 
-def _table(x, images):
-    """The chain map of x from its zdelta._images pairs.  Most images are
-    empty, and chains are immutable, so each dimension shares one zero."""
+def to_chain_map(x):
+    """The chain map induced by an integer combination of monotone maps, from
+    the zdelta._images scan.  Most images are empty, and chains are
+    immutable, so each dimension shares one zero."""
     m, n = x.domain, x.codomain
     zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
     return ChainMapTable(m, n, (
         (BasisElt._make(verts, m),
-         Chain._make(len(verts) - 1, n, {BasisElt._make(v, n): c for v, c in image.items()})
-         if image else zeros[len(verts) - 1])
-        for verts, image in images
+         Chain._make(len(verts) - 1, n, image) if image else zeros[len(verts) - 1])
+        for verts, image in _images(x)
     ))
-
-
-def to_chain_map(x):
-    """The chain map induced by an integer combination of monotone maps."""
-    return _table(x, _images(x))
 
 
 def _pair_values(av, bv, m):
@@ -403,7 +395,13 @@ def _pair_values(av, bv, m):
 
 def map_from_pair(a, b, m):
     """The monotone map associated to a basis pair (a, b): a lists the minimal
-    preimages (starting at 0) and b lists the image values."""
+    preimages (starting at 0) in the complex on m and b, of the same
+    dimension, lists the image values."""
+    if a.vertices[0] != 0 or a.ambient != m or a.dimension != b.dimension:
+        raise PreconditionError(
+            f"({a}, {b}) is not a basis pair on {m}: the first element must "
+            f"start at 0 in the complex on {m}, with the dimension of the second"
+        )
     return MonotoneMap(_pair_values(a.vertices, b.vertices, m), b.ambient)
 
 
@@ -428,10 +426,7 @@ def from_chain_map(table):
     """
     table._check_shapes()
     m, n = table.m, table.n
-    rows = {
-        b.vertices: {e.vertices: c for e, c in chain.terms.items()}
-        for b, chain in table.images.items()
-    }
+    rows = {b.vertices: chain._terms for b, chain in table.images.items()}
     acc = {}
     for q in range(m, -1, -1):
         for rest in combinations(range(1, m + 1), q):
@@ -442,7 +437,7 @@ def from_chain_map(table):
             ])
             # Each pair (a, b) gives a different map, so no term is hit twice.
             acc.update((_pair_values(verts, e, m), c) for e, c in need.items())
-    acc = ZMorphism._make(m, n, {MonotoneMap._make(v, n): c for v, c in acc.items()})
+    acc = ZMorphism._make(m, n, acc)
     for verts, image in _images(acc):
         if image != rows[verts]:
             table.validate()

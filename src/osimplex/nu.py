@@ -9,9 +9,9 @@ the atoms, an exact enumerator at small n, the closure check that atoms
 generate everything, and the action of oriental morphisms on cells.
 """
 
-from itertools import product
+from itertools import combinations, product
 
-from .chains import Chain, _faces, _part_tower, _relabelled, _table, basis_elements
+from .chains import Chain, _faces, _part_tower, _relabelled, basis_elements
 from .errors import (
     ArityError,
     CellConditionError,
@@ -253,20 +253,20 @@ def _nonneg_preimages(delta, q):
     since only values no preimage takes are cut.
     """
     n = delta.ambient
-    budget = sum(c * b.vertices[0] for b, c in delta.terms.items())  # delta's weight
+    budget = sum(c * v[0] for v, c in delta._terms.items())  # delta's weight
     if budget < 0:
         return []
-    basis = basis_elements(n, q)
+    basis = list(combinations(range(n + 1), q + 1))  # vertex tuples
     index = {}  # face vertex tuple -> face number
     rows = []  # per element: (face number, boundary sign) of each face
     weights = []  # per element: the first-vertex functional on its boundary
     for b in basis:
-        faces = list(_faces([(b.vertices, 1)]))
+        faces = list(_faces([(b, 1)]))
         rows.append([(index.setdefault(face, len(index)), sign) for face, sign in faces])
         weights.append(sum(sign * face[0] for face, sign in faces))
     residual = [0] * len(index)
-    for b, c in delta.terms.items():
-        f = index.get(b.vertices)
+    for v, c in delta._terms.items():
+        f = index.get(v)
         if f is None:  # a face of no q-element
             return []
         residual[f] = c
@@ -437,6 +437,11 @@ def act(x, cell):
         raise PreconditionError(
             f"only oriental morphisms act on cells: {result.reason}"
         )
-    table = _table(x, images)
-    pairs = [(table.apply(neg), table.apply(pos)) for neg, pos in cell.pairs]
-    return Cell._make(x.codomain, pairs)
+    rows = dict(images)
+
+    def image(chain):
+        return Chain._summed(chain.dimension, x.codomain, (
+            (e, c * ce) for v, c in chain._terms.items() for e, ce in rows[v].items()
+        ))
+
+    return Cell._make(x.codomain, [(image(neg), image(pos)) for neg, pos in cell.pairs])

@@ -34,12 +34,7 @@ def _check_filler_pre(i, x, y):
     x._check_shape(y)
     if type(i) is not int or not 0 <= i <= x.domain - 1:
         raise NotComposableError(f"index {i} out of range for domain {x.domain}")
-    return _values(x), _values(y)
-
-
-def _values(x):
-    """The terms of a ZMorphism as a dict from value tuples to coefficients."""
-    return {f.values: c for f, c in x.terms.items()}
+    return x._terms, y._terms
 
 
 def _face(x, i):
@@ -109,7 +104,7 @@ def first_last(x):
 def _vertex_image(x, k):
     """The composite of x with the inclusion of its first (k=0) or last
     (k=-1) vertex, as a dict v -> coef."""
-    return _sum_pairs([(f.values[k], c) for f, c in x.terms.items()])
+    return _sum_pairs([(a[k], c) for a, c in x._terms.items()])
 
 
 def _check_split_terms(t, x, terms_ok, describe):
@@ -117,9 +112,12 @@ def _check_split_terms(t, x, terms_ok, describe):
         raise PreconditionError(
             f"the composite with the last vertex must be the single term ({t})"
         )
-    for f in x.terms:
-        if not terms_ok(f.values):
-            raise PreconditionError(f"term {f} violates the split precondition: {describe}")
+    for a in x._terms:
+        if not terms_ok(a):
+            raise PreconditionError(
+                f"term {MonotoneMap._make(a, x.codomain)} violates the split "
+                f"precondition: {describe}"
+            )
 
 
 def _alpha_beta(x, r, t, pivot):
@@ -148,8 +146,7 @@ def _alpha_beta(x, r, t, pivot):
 def _split(x, r, t, pivot, terms_ok, describe):
     """Check the split precondition, then split x at r against t into (u, v)."""
     _check_split_terms(t, x, terms_ok, describe)
-    u, v = _alpha_beta(_values(x), r, t, pivot)
-    return ZMorphism._summed(*x._shape, u.items()), ZMorphism._summed(*x._shape, v.items())
+    return tuple(ZMorphism._make(*x._shape, d) for d in _alpha_beta(x._terms, r, t, pivot))
 
 
 def split_start(r, t, x):
@@ -561,8 +558,8 @@ def _drop_unit(node):
 def _is_unit(x, y, j, i):
     """x == y.face(j).degeneracy(i) on value tuples, for j = i or i + 1 and
     0 <= i < y.domain."""
-    return x._shape == y._shape and _values(x) == _sum_pairs(
-        [(_repeated(_repeated(f.values, j, 0), i, 2), c) for f, c in y.terms.items()]
+    return x._shape == y._shape and x._terms == _sum_pairs(
+        [(_repeated(_repeated(a, j, 0), i, 2), c) for a, c in y._terms.items()]
     )
 
 
@@ -605,7 +602,7 @@ def factorize(x, simplify_output=True):
     if not result.ok:
         raise PreconditionError(f"factorize requires an oriental morphism: {result.reason}")
     table = {}
-    expr = _factorize_member(_values(x), x.codomain, {}, {}, table)
+    expr = _factorize_member(x._terms, x.codomain, {}, {}, table)
     if simplify_output:
         expr = _rewrite(expr, _drop_unit, {}, table)
     if expr.evaluate() != x:

@@ -40,17 +40,23 @@ def _sum_pairs(pairs):
 
 
 class _Combination:
-    """A finite integer combination of keys of one shape, kept as a dict from
-    keys to nonzero coefficients; values are immutable.
+    """A finite integer combination of keys of one shape; values are
+    immutable.
+
+    The terms are stored in one dict from key tuples (the value tuples of
+    monotone maps, or the vertex tuples of basis elements) to nonzero
+    coefficients, on which every kernel computes.  Key objects appear only
+    at the public boundary: the constructor checks them and keeps their
+    tuples, and `terms` builds them anew.
 
     A subclass names its two shape fields as its __slots__ and gets them as
     _shape, names its key class (built from a tuple and the second shape
-    field), checks an input term in _check_key, and gives the tuple by which
-    keys sort and print (_values), the brackets around it and the wording of
-    its shape in errors.
+    field), checks an input term in _check_key, which returns its tuple, and
+    gives the brackets around a printed tuple and the wording of its shape
+    in errors.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_terms", "_hash")
 
     def _init(self, first, second, terms):
         """Accumulate a dict or iterable of (key, coefficient): coefficients
@@ -70,50 +76,48 @@ class _Combination:
                 pairs.append((key, c))
         _set(self, self.__slots__[0], first)
         _set(self, self.__slots__[1], second)
-        _set(self, "terms", _sum_pairs(pairs))
+        _set(self, "_terms", _sum_pairs(pairs))
         _set(self, "_hash", None)
 
     @classmethod
     def _make(cls, first, second, terms):
-        """A value from a dict of valid keys of this shape to nonzero
+        """A value from a dict of valid key tuples of this shape to nonzero
         integers, which it keeps; no checks."""
         x = object.__new__(cls)
         _set(x, cls.__slots__[0], first)
         _set(x, cls.__slots__[1], second)
-        _set(x, "terms", terms)
+        _set(x, "_terms", terms)
         _set(x, "_hash", None)
         return x
 
     @classmethod
     def _summed(cls, first, second, pairs):
         """_make from (key tuple, nonzero coefficient) pairs that are valid
-        for this shape, summed by _sum_pairs; each distinct key is built
-        once."""
-        make = cls._key._make
-        return cls._make(
-            first, second, {make(v, second): c for v, c in _sum_pairs(pairs).items()}
-        )
+        for this shape, summed by _sum_pairs."""
+        return cls._make(first, second, _sum_pairs(pairs))
+
+    @property
+    def terms(self):
+        """A new dict from key objects to nonzero coefficients, in term order."""
+        make, second = self._key._make, self._shape[1]
+        return {make(key, second): c for key, c in self._terms.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild the value through the checking constructor.
-        return type(self), (*self._shape, list(self.terms.items()))
+        return type(self), (*self._shape, list(self._terms.items()))
 
     @classmethod
     def zero(cls, first, second):
         return cls(first, second)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def coefficient(self, key):
         return self.terms.get(key, 0)
-
-    def support(self):
-        """The keys with nonzero coefficient, in the canonical term order."""
-        return sorted(self.terms, key=self._values)
 
     def _check_shape(self, other):
         if self._shape != other._shape:
@@ -126,7 +130,7 @@ class _Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_shape(other)
-        return self._make(*self._shape, _sum_pairs([*self.terms.items(), *other.terms.items()]))
+        return self._summed(*self._shape, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return -1 * self
@@ -139,7 +143,7 @@ class _Combination:
     def __rmul__(self, scalar):
         if type(scalar) is not int:
             return NotImplemented
-        terms = {key: scalar * c for key, c in self.terms.items()} if scalar else {}
+        terms = {key: scalar * c for key, c in self._terms.items()} if scalar else {}
         return self._make(*self._shape, terms)
 
     __mul__ = __rmul__
@@ -147,30 +151,23 @@ class _Combination:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._shape == other._shape and self.terms == other.terms
+        return self._shape == other._shape and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            _set(self, "_hash", hash((*self._shape, frozenset(self.terms.items()))))
+            _set(self, "_hash", hash((*self._shape, frozenset(self._terms.items()))))
         return self._hash
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
-        pieces = []
-        for key in self.support():
-            c = self.terms[key]
-            sign = "-" if c < 0 else "+"
-            open_, close = self._brackets
-            body = open_ + ",".join(str(v) for v in self._values(key)) + close
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        open_, close = self._brackets
+        text = ""
+        for key, c in sorted(self._terms.items()):
+            coef = f"{abs(c)}*" if abs(c) != 1 else ""
+            text += f" {'-' if c < 0 else '+'} {coef}{open_}{','.join(map(str, key))}{close}"
+        # The first term drops its " + ", or keeps a bare "-".
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class ZMorphism(_Combination):
@@ -180,7 +177,6 @@ class ZMorphism(_Combination):
     _key = MonotoneMap
     _shape = property(attrgetter("domain", "codomain"))
     _shape_text = "({} -> {})"
-    _values = attrgetter("values")
     _brackets = "()"
 
     def __init__(self, domain, codomain, terms=()):
@@ -201,7 +197,7 @@ class ZMorphism(_Combination):
                 f"term {f} does not lie in the combination's hom-set "
                 f"({domain} -> {codomain})"
             )
-        return f
+        return f.values
 
     @classmethod
     def generator(cls, f, coefficient=1):
@@ -209,13 +205,13 @@ class ZMorphism(_Combination):
         return cls(f.domain, f.codomain, [(f, coefficient)])
 
     def coefficient_sum(self):
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def vertices(self):
         """The set of integers appearing in the terms."""
         out = set()
-        for f in self.terms:
-            out.update(f.values)
+        for a in self._terms:
+            out.update(a)
         return out
 
     def compose(self, other):
@@ -232,9 +228,9 @@ class ZMorphism(_Combination):
                 f"domain {self.domain}"
             )
         return ZMorphism._summed(other.domain, self.codomain, (
-            (tuple([g.values[v] for v in f.values]), cg * cf)
-            for g, cg in self.terms.items()
-            for f, cf in other.terms.items()
+            (tuple([g[v] for v in f]), cg * cf)
+            for g, cg in self._terms.items()
+            for f, cf in other._terms.items()
         ))
 
     def face(self, i):
@@ -242,7 +238,7 @@ class ZMorphism(_Combination):
         if type(i) is not int or self.domain <= 0 or not 0 <= i <= self.domain:
             face_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain - 1, self.codomain, (
-            (_repeated(f.values, i, 0), c) for f, c in self.terms.items()
+            (_repeated(a, i, 0), c) for a, c in self._terms.items()
         ))
 
     def degeneracy(self, i):
@@ -250,16 +246,15 @@ class ZMorphism(_Combination):
         if type(i) is not int or not 0 <= i <= self.domain:
             degeneracy_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain + 1, self.codomain, (
-            (_repeated(f.values, i, 2), c) for f, c in self.terms.items()
+            (_repeated(a, i, 2), c) for a, c in self._terms.items()
         ))
 
     def injective_part(self):
-        """The restriction of the combination to its injective terms."""
-        return ZMorphism._make(
-            self.domain,
-            self.codomain,
-            {f: c for f, c in self.terms.items() if f.is_injective()},
-        )
+        """The restriction of the combination to its injective terms: a
+        monotone tuple is injective when its entries are distinct."""
+        return ZMorphism._make(self.domain, self.codomain, {
+            a: c for a, c in self._terms.items() if len(set(a)) == len(a)
+        })
 
     def __repr__(self):
         return f"<ZMorphism {self.domain}->{self.codomain}: {self}>"
@@ -268,9 +263,7 @@ class ZMorphism(_Combination):
         return {
             "m": self.domain,
             "n": self.codomain,
-            "terms": [
-                {"map": list(f.values), "coef": self.terms[f]} for f in self.support()
-            ],
+            "terms": [{"map": list(a), "coef": c} for a, c in sorted(self._terms.items())],
         }
 
     @classmethod
@@ -439,7 +432,7 @@ def _images(x):
     m = x.domain
     level = []
     for v in range(m + 1):
-        live = [((f.values[v],), c, f.values) for f, c in x.terms.items()]
+        live = [((values[v],), c, values) for values, c in x._terms.items()]
         yield (v,), _sum_pairs([(image, c) for image, c, _ in live])
         level.append(((v,), live))
     while level:

@@ -53,7 +53,7 @@ def reference_nonneg_preimages(delta, q):
 
     def descend(index, remaining, picked):
         if index == len(basis):
-            chain = Chain._make(q, n, dict(picked))
+            chain = Chain(q, n, picked)
             if chain.boundary() == delta:
                 out.append(chain)
             return

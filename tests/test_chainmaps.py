@@ -194,6 +194,17 @@ def test_map_from_pair_bijection():
             )
 
 
+def test_map_from_pair_checks_the_basis_pair():
+    # a must start at 0 in the complex on m, with the dimension of b.
+    for a, b, m in (
+        (BasisElt((1, 2), 3), BasisElt((0, 1), 3), 3),
+        (BasisElt((0, 2), 2), BasisElt((0, 1), 3), 1),
+        (BasisElt((0, 1), 1), BasisElt((0,), 1), 1),
+    ):
+        with pytest.raises(PreconditionError):
+            map_from_pair(a, b, m)
+
+
 def test_from_chain_map_examples():
     x = ZMorphism.generator(MonotoneMap((0, 1), 1))
     assert from_chain_map(to_chain_map(x)) == x

@@ -194,3 +194,10 @@ def test_chain_rejects_non_integer_coefficients():
 def test_chain_rejects_negative_dimension():
     with pytest.raises(ValueError):
         Chain(-3, 2)
+
+
+def test_basis_elements_takes_an_int_dimension():
+    assert basis_elements(2, 1) == [BasisElt(v, 2) for v in ((0, 1), (0, 2), (1, 2))]
+    for dimension in (True, False, 1.0, "1", -1):
+        with pytest.raises(ValueError):
+            basis_elements(2, dimension)

@@ -30,7 +30,6 @@ from osimplex.oriental import (
     _alpha_beta,
     _check_split_terms,
     _is_unit,
-    _values,
     check_membership,
     filler,
     first_last,
@@ -304,7 +303,7 @@ def chain_solve_from_chain_map(table):
                 q, n, per_element_image_terms(terms, a.vertices).items()
             )
             acc.update((pair_map(a, b, m), c) for b, c in need.terms.items())
-    acc = ZMorphism._make(m, n, acc)
+    acc = ZMorphism(m, n, acc)
     for verts, image in per_element_images(acc):
         want = table.images[BasisElt._make(verts, m)].terms
         if image != {e.vertices: c for e, c in want.items()}:
@@ -624,7 +623,7 @@ def test_alpha_beta_matches_reference_on_arbitrary_combinations():
             # The library splits the value dict of x into the value dicts of
             # u and v, compared raw so that a zero coefficient left in either
             # fails.
-            parts = _alpha_beta(_values(x), r, t, pivot)
+            parts = _alpha_beta({f.values: c for f, c in x.terms.items()}, r, t, pivot)
             got = [(m, x.codomain, [(MonotoneMap(a, x.codomain), c) for a, c in d.items()])
                    for d in parts]
             assert got == ref, (r, t, pivot, str(x))

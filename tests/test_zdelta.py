@@ -186,3 +186,22 @@ def test_scalars_are_int_not_bool():
     assert -x == gen((0, 1), 2, -1)
     assert x - y == ZMorphism(1, 2, [((0, 1), 1), ((1, 2), -3)])
     assert 2 * chain == Chain(1, 2, [(BasisElt((0, 1), 2), 2)])
+
+
+def test_terms_is_a_new_dict_each_time():
+    # Mutating the dict that terms returns leaves the value as it was.
+    f, b = MonotoneMap((0, 1), 2), BasisElt((0, 1), 2)
+    for make, key, other in (
+        (lambda: ZMorphism(1, 2, [(f, 1)]), f, MonotoneMap((1, 2), 2)),
+        (lambda: Chain(1, 2, [(b, 1)]), b, BasisElt((1, 2), 2)),
+    ):
+        value = make()
+        text, hashed = str(value), hash(value)
+        terms = value.terms
+        assert terms == {key: 1} and terms is not value.terms
+        terms[key] = 5
+        terms[other] = -1
+        assert value.terms == {key: 1}
+        assert str(value) == text and value == make() and hash(value) == hashed
+        with pytest.raises(AttributeError):
+            value.terms = {}
