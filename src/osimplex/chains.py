@@ -290,8 +290,11 @@ class ChainMapTable:
         images = []
         for v, c in chain._terms.items():
             b = BasisElt._make(v, self.m)
-            image = self.images[b]
-            if image.dimension != chain.dimension or image.ambient != self.n:
+            try:
+                image = self.images[b]
+            except KeyError:
+                raise ArityError(f"table has no image of {b}") from None
+            if not isinstance(image, Chain) or image._shape != (chain.dimension, self.n):
                 raise ArityError(f"image of {b} has the wrong shape")
             images.append((image._terms, c))
         return Chain._summed(chain.dimension, self.n, (
@@ -369,14 +372,16 @@ class ChainMapTable:
 
 def to_chain_map(x):
     """The chain map induced by an integer combination of monotone maps, from
-    the zdelta._images scan.  Most images are empty, and chains are
-    immutable, so each dimension shares one zero."""
+    the zdelta._images scan, listed over the whole basis in basis order.  A
+    basis element the scan does not yield has image zero, as have most that
+    it does, and chains are immutable, so each dimension shares one zero."""
     m, n = x.domain, x.codomain
+    rows = dict(_images(x))
     zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
     return ChainMapTable(m, n, (
         (BasisElt._make(verts, m),
-         Chain._make(len(verts) - 1, n, image) if image else zeros[len(verts) - 1])
-        for verts, image in _images(x)
+         Chain._make(q, n, image) if (image := rows.get(verts)) else zeros[q])
+        for q in range(m + 1) for verts in combinations(range(m + 1), q + 1)
     ))
 
 
@@ -421,25 +426,27 @@ def from_chain_map(table):
 
     Only the key set and image shapes are checked before solving.  The image
     of any combination is a chain map, so validate() runs only when the
-    image of the answer, scanned by zdelta._images, differs from the table
-    at some basis element, to reject it with its message.
+    image of the answer differs from the table, to reject it with its
+    message.  zdelta._images yields only the basis elements on which some
+    term of the answer is injective, so the answer's nonzero images and the
+    table's nonzero rows are compared as two dicts: a nonzero row where no
+    term is injective fails too.
     """
     table._check_shapes()
     m, n = table.m, table.n
-    rows = {b.vertices: chain._terms for b, chain in table.images.items()}
+    rows = {b.vertices: chain._terms for b, chain in table.images.items() if chain._terms}
     acc = {}
     for q in range(m, -1, -1):
         for rest in combinations(range(1, m + 1), q):
             verts = (0,) + rest
             need = _sum_pairs([
-                *rows[verts].items(),
+                *rows.get(verts, {}).items(),
                 *((e, -c) for e, c in _image_terms(acc.items(), verts).items()),
             ])
             # Each pair (a, b) gives a different map, so no term is hit twice.
             acc.update((_pair_values(verts, e, m), c) for e, c in need.items())
     acc = ZMorphism._make(m, n, acc)
-    for verts, image in _images(acc):
-        if image != rows[verts]:
-            table.validate()
-            raise AssertionError("chain-map inversion failed to reproduce the table")
+    if {verts: image for verts, image in _images(acc) if image} != rows:
+        table.validate()
+        raise AssertionError("chain-map inversion failed to reproduce the table")
     return acc

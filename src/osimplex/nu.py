@@ -425,7 +425,9 @@ def act(x, cell):
     """Apply an oriental morphism to a cell through its chain map.
 
     The morphism must pass the membership test; the image of a cell under
-    a member's chain map is then a cell, so it is not checked again.
+    a member's chain map is then a cell, so it is not checked again.  The
+    chain-map rows come from the zdelta._images scan, which skips the basis
+    elements on which no term of x is injective; their rows read as zero.
     """
     if cell.ambient != x.domain:
         raise ArityError(
@@ -441,7 +443,8 @@ def act(x, cell):
 
     def image(chain):
         return Chain._summed(chain.dimension, x.codomain, (
-            (e, c * ce) for v, c in chain._terms.items() for e, ce in rows[v].items()
+            (e, c * ce)
+            for v, c in chain._terms.items() for e, ce in rows.get(v, {}).items()
         ))
 
     return Cell._make(x.codomain, [(image(neg), image(pos)) for neg, pos in cell.pairs])

@@ -371,7 +371,9 @@ def check_membership(x):
     coefficient sum, the nonnegativity is read off the chain-map images,
     basis element by basis element in the order of enumerate_injective_into,
     and the first negative coefficient found is the witness.  The images come
-    from the level-by-level scan of _images, built only as far as the witness.
+    from the level-by-level scan of _images, built only as far as the witness
+    and only on the basis elements on which some term of x is injective: the
+    image of any other is zero and holds no witness.
     """
     return _membership(x, _images(x))
 
@@ -420,21 +422,27 @@ def _image_terms(terms, verts):
 
 def _images(x):
     """Yield (vertices, _image_terms of them under x) for every basis element
-    of the complex on the domain of x, in the order of chains.basis_elements.
+    of the complex on the domain of x on which some term of x is injective,
+    in the order of chains.basis_elements.  Every other image is zero.
 
     A term is injective on a vertex tuple only if it is injective on the
     tuple less its last vertex, so each level is built from the one below:
     every tuple is extended, in order, by each larger vertex, which lists
     the next level in the order of itertools.combinations, and carries only
     the terms still injective on it, as (image, coefficient, values) in term
-    order.  A term that dies is never looked at again.
+    order.  A term that dies is never looked at again, and a tuple with no
+    live term is neither yielded nor extended, as its extensions have none
+    either: the scan's cost follows the tuples on which some term is
+    injective, not the basis.  The kept tuples stay in basis order, and a
+    row whose terms cancel is yielded as {}.
     """
     m = x.domain
     level = []
-    for v in range(m + 1):
-        live = [((values[v],), c, values) for values, c in x._terms.items()]
-        yield (v,), _sum_pairs([(image, c) for image, c, _ in live])
-        level.append(((v,), live))
+    if x._terms:
+        for v in range(m + 1):
+            live = [((values[v],), c, values) for values, c in x._terms.items()]
+            yield (v,), _sum_pairs([(image, c) for image, c, _ in live])
+            level.append(((v,), live))
     while level:
         above = []
         for verts, live in level:
@@ -443,11 +451,13 @@ def _images(x):
                 # the new value exceeds its last one.
                 grown = [(image + (values[w],), c, values)
                          for image, c, values in live if values[w] > image[-1]]
+                if not grown:
+                    continue
                 up = verts + (w,)
                 if len(grown) > 1:
                     yield up, _sum_pairs([(image, c) for image, c, _ in grown])
-                else:  # one nonzero term or none: nothing to sum
-                    yield up, {grown[0][0]: grown[0][1]} if grown else {}
+                else:  # one nonzero term: nothing to sum
+                    yield up, {grown[0][0]: grown[0][1]}
                 if w < m:
                     above.append((up, grown))
         level = above

@@ -149,6 +149,20 @@ def test_a_non_commuting_table_is_named_by_its_first_element_in_basis_order():
         assert str(err.value) == "table does not commute with the boundary at [0,1]"
 
 
+def test_from_chain_map_rejects_a_nonzero_row_where_no_term_is_injective():
+    # No term of (0,1,1) is injective on [1,2], so the scan of the answer
+    # yields no row there; the solve never reads that row either.
+    x = ZMorphism.generator(MonotoneMap((0, 1, 1), 1))
+    table = to_chain_map(x)
+    table.images[BasisElt((1, 2), 2)] = Chain.of(BasisElt((0, 1), 1))
+    with pytest.raises(PreconditionError) as expected:
+        table.validate()
+    with pytest.raises(PreconditionError) as got:
+        from_chain_map(table)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "table does not commute with the boundary at [1,2]"
+
+
 def test_from_chain_map_makes_no_boundary_calls_on_a_valid_table(monkeypatch):
     # Counted rather than timed: the round trip itself proves a valid table
     # valid, so the boundary checks of validate never run.
@@ -171,6 +185,21 @@ def test_apply_rejects_a_chain_over_another_ambient():
         with pytest.raises(ArityError) as err:
             table.apply(chain)
         assert str(err.value) == f"chain lives in {chain.ambient}, table has domain 1"
+
+
+def test_apply_rejects_a_table_without_the_chains_basis_element():
+    with pytest.raises(ArityError) as err:
+        ChainMapTable(1, 2, {}).apply(Chain(0, 1, [((1,), 1)]))
+    assert str(err.value) == "table has no image of [1]"
+
+
+def test_apply_rejects_an_image_that_is_not_a_chain():
+    table = to_chain_map(parse_zmorphism("(0,1) - (1,1) + (1,2)", 2))
+    b = BasisElt((0, 1), 1)
+    table.images[b] = table.images[b].terms
+    with pytest.raises(ArityError) as err:
+        table.apply(Chain.of(b))
+    assert str(err.value) == "image of [0,1] has the wrong shape"
 
 
 def test_map_from_pair_bijection():
