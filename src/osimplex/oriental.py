@@ -89,6 +89,8 @@ def first_last(x):
     and last vertex inclusions; a cheap single-term check rejects obvious
     non-members.
     """
+    if not isinstance(x, ZMorphism):
+        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
     if x.is_zero():
         raise PreconditionError("the zero combination is not an oriental morphism")
     vertices = x.vertices()
@@ -219,13 +221,13 @@ class Expr:
         if not isinstance(other, Expr) or hash(self) != hash(other):
             return False
         table = {}
-        return _rewrite(self, _same, {}, table) is _rewrite(other, _same, {}, table)
+        return _rewrite(self, _kept, {}, table) is _rewrite(other, _kept, {}, table)
 
     def __hash__(self):
         # Cached per node, children first, so a shared DAG hashes once per node.
         if self._hash is None:
             for node in _postorder(self, lambda node: node._hash is not None):
-                node._hash = hash(node._key(_same))
+                node._hash = hash(node._key(hash))
         return self._hash
 
     def __str__(self):
@@ -388,6 +390,8 @@ class ComposeMap(Expr):
 def eval_expr(expr):
     """Evaluate an expression tree bottom-up, checking every node's
     face-matching precondition; failures carry the offending node path."""
+    if not isinstance(expr, Expr):
+        raise ArityError(f"expected an expression tree, not {type(expr).__name__}")
     return expr.evaluate()
 
 
@@ -513,10 +517,6 @@ def _parse_leaf(text, pos, n):
 # rewriting and factorization
 
 
-def _same(node):
-    return node
-
-
 def _cons(table, node):
     """Hash-consing: the node of table with the structure of node, which is
     added if new.  The children of node must come from table, so equal
@@ -525,58 +525,62 @@ def _cons(table, node):
 
 
 def _rewrite(expr, step, memo, table):
-    """Rewrite expr bottom-up: each distinct node not in memo, which maps
-    nodes by identity to their results, is rebuilt on its children's
-    results (or kept, if they are its own), passed to step and hash-consed."""
+    """Rewrite expr bottom-up: step(node, memo, table) gives the result of
+    each distinct node not in memo, which maps nodes by identity to their
+    results, so its children's results are there; step hash-conses it."""
     for node in _postorder(expr, lambda node: id(node) in memo):
-        memo[id(node)] = _cons(table, step(node._rebuilt(memo)))
+        memo[id(node)] = step(node, memo, table)
     return memo[id(expr)]
+
+
+def _kept(node, memo, table):
+    """node rebuilt on its children's results (or kept), hash-consed."""
+    return _cons(table, node._rebuilt(memo))
 
 
 def simplify(expr):
     """Drop pasting nodes whose one operand is the degenerate unit of the
     other; the evaluation is unchanged.  Shared subtrees stay shared.  The
-    input is evaluated first, so a bad tree raises eval_expr's error."""
-    expr.evaluate()
-    return _rewrite(expr, _drop_unit, {}, {})
+    input is evaluated first, so a bad tree raises eval_expr's error, and the
+    rule reads its nodes' cached values; rebuilt nodes get no value."""
+    eval_expr(expr)
+    return _drop_units(expr, lambda p: _side(p._value, p.left._value, p.right._value), {})
 
 
-def _drop_unit(node):
-    """The unit rule on one node of a valid tree, whose pasting index is
-    therefore in range."""
-    if isinstance(node, Pasting):
-        i = node.index
-        lv = node.left.evaluate()
-        rv = node.right.evaluate()
-        if _is_unit(lv, rv, i + 1, i):
-            return node.right
-        if _is_unit(rv, lv, i, i):
-            return node.left
-    return node
+def _side(value, left, right):
+    """Which operand of a valid pasting equals it: 1 (right), 0 (left) or
+    None.  pasting(i, l, r) = l - s_i(f) + r for the face f that l and r
+    share, so it is r exactly when l is the unit s_i(f), and l exactly when
+    r is; right is tried first."""
+    return 1 if value == right else 0 if value == left else None
 
 
-def _is_unit(x, y, j, i):
-    """x == y.face(j).degeneracy(i) on value tuples, for j = i or i + 1 and
-    0 <= i < y.domain."""
-    return x._shape == y._shape and x._terms == _sum_pairs(
-        [(_repeated(_repeated(a, j, 0), i, 2), c) for a, c in y._terms.items()]
-    )
+def _drop_units(expr, side, table):
+    """The unit rule on expr: a pasting becomes the result of the operand
+    that side(pasting) names, if any; the others are rebuilt."""
+
+    def step(node, memo, table):
+        kid = side(node) if isinstance(node, Pasting) else None
+        return _kept(node, memo, table) if kid is None else memo[id(node.kids[kid])]
+
+    return _rewrite(expr, step, {}, table)
 
 
 def eliminate_pastings(expr):
     """Rewrite every pasting node as a face of the corresponding filler, so
     the tree uses fillers and composition with monotone maps only.  Shared
     subtrees stay shared.  A bad tree raises eval_expr's error."""
-    expr.evaluate()
-    table = {}
+    eval_expr(expr)
+    return _rewrite(expr, _eliminated, {}, {})
 
-    def step(node):
-        if not isinstance(node, Pasting):
-            return node
+
+def _eliminated(node, memo, table):
+    """The step of eliminate_pastings: a pasting becomes a face of its filler."""
+    node = node._rebuilt(memo)
+    if isinstance(node, Pasting):
         inner = _cons(table, Filler(node.index, node.left, node.right))
-        return ComposeMap(inner, face_generator(node.index + 1, _domain(inner)))
-
-    return _rewrite(expr, step, {}, table)
+        node = ComposeMap(inner, face_generator(node.index + 1, _domain(inner)))
+    return _cons(table, node)
 
 
 def factorize(x, simplify_output=True):
@@ -596,87 +600,95 @@ def factorize(x, simplify_output=True):
     meet the split preconditions, as tests/test_factorize_fixture.py and
     tests/test_kernel_oracles.py check, so the recursion runs unchecked on
     value dicts {value tuple: coefficient}, once per *distinct* input, and
-    evaluating the tree with the checked kernels catches a wrong node.
+    records each pasting's _side from the dicts of its split.  The unit rule
+    reads these records, so no node has a value until the output is
+    evaluated from scratch with the checked kernels: that catches a wrong
+    node or record.
     """
     result = check_membership(x)
     if not result.ok:
         raise PreconditionError(f"factorize requires an oriental morphism: {result.reason}")
-    table = {}
-    expr = _factorize_member(x._terms, x.codomain, {}, {}, table)
+    table, sides = {}, {}
+    expr = _factorize_member(x._terms, (x.codomain, {}, {}, table, sides))
     if simplify_output:
-        expr = _rewrite(expr, _drop_unit, {}, table)
+        expr = _drop_units(expr, lambda node: sides[id(node)], table)
     if expr.evaluate() != x:
         raise AssertionError("factorization failed to reproduce its input")
     return expr
 
 
-def _factorize_member(x, n, memo, appended, table):
-    """The factorization of the value dict x over codomain n, found in or
-    added to memo, which maps the inputs already factorized to their trees;
-    appended holds the _append_to_leaves memo per t; table hash-conses nodes."""
+def _factorize_member(x, state):
+    """The factorization of the value dict x in state = (codomain, memo,
+    appended, table, sides): memo maps the inputs already factorized to their
+    trees; appended holds the _append_to_leaves memo per t; table hash-conses
+    nodes; sides maps each pasting's id to its side."""
     key = frozenset(x.items())
-    expr = memo.get(key)
+    expr = state[1].get(key)
     if expr is None:
-        expr = memo[key] = _factorize_new(x, n, memo, appended, table)
+        expr = state[1][key] = _factorize_new(x, state)
     return expr
 
 
-def _factorize_new(x, n, memo, appended, table):
+def _factorize_new(x, state):
+    n, _, appended, table, sides = state
     m = len(next(iter(x))) - 1
     t = max(a[-1] for a in x)
     constant = (t,) * (m + 1)
     if constant in x:
         return _cons(table, Leaf(MonotoneMap._make(constant, n)))
 
-    # Fillers split off below the top position, collected outermost-last.
-    start_fillers = []
+    # Each split current = pasting(r, u, v) is kept, outermost first, with
+    # the tree of the split-off factor, on the right for the fillers split
+    # off below the top position.
+    splits = []
     current = x
     for r in range(0, m - 1):
-        current, v = _alpha_beta(current, r, t, r + 1)
-        node = _factorize_filler(r, v, n, memo, appended, table)
-        start_fillers.append((r, node))
+        u, v = _alpha_beta(current, r, t, r + 1)
+        splits.append((r, _factorize_filler(r, v, state), True, _side(current, u, v)))
+        current = u
 
     # The top-position split lowers the greatest vertex of the left factor:
     # each of its terms ends at an a_{m-1} or an a_m below t.
-    left, current = _alpha_beta(current, m - 1, t, m)
-    left_tree = _factorize_member(left, n, memo, appended, table)
+    u, v = _alpha_beta(current, m - 1, t, m)
+    splits.append((m - 1, _factorize_member(u, state), False, _side(current, u, v)))
+    current = v
 
     # Fillers split off on the left, top position downward.
-    finish_fillers = []
     for r in range(m - 2, -1, -1):
-        u, current = _alpha_beta(current, r, t, m)
-        node = _factorize_filler(r, u, n, memo, appended, table)
-        finish_fillers.append((r, node))
+        u, v = _alpha_beta(current, r, t, m)
+        splits.append((r, _factorize_filler(r, u, state), False, _side(current, u, v)))
+        current = v
 
     # The residue ends at t everywhere; recurse one domain down and append t.
-    below = _factorize_member(_face(current, m), n, memo, appended, table)
-    tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
-
-    for r, node in reversed(finish_fillers):
-        tree = _cons(table, Pasting(r, node, tree))
-    tree = _cons(table, Pasting(m - 1, left_tree, tree))
-    for r, node in reversed(start_fillers):
-        tree = _cons(table, Pasting(r, tree, node))
+    below = _factorize_member(_face(current, m), state)
+    tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table, sides)
+    for r, factor, on_right, side in reversed(splits):
+        tree = _cons(table, Pasting(r, tree, factor) if on_right else Pasting(r, factor, tree))
+        sides[id(tree)] = side
     return tree
 
 
-def _factorize_filler(r, v, n, memo, appended, table):
+def _factorize_filler(r, v, state):
     """The filler node at r of the factorizations of the outer faces of v."""
-    left = _factorize_member(_face(v, r + 2), n, memo, appended, table)
-    return _cons(table, Filler(r, left, _factorize_member(_face(v, r), n, memo, appended, table)))
+    left = _factorize_member(_face(v, r + 2), state)
+    return _cons(state[3], Filler(r, left, _factorize_member(_face(v, r), state)))
 
 
-def _append_to_leaves(expr, t, memo, table):
+def _append_to_leaves(expr, t, memo, table, sides):
     """Append the vertex t to every leaf; this commutes with all node
-    operations because their indices never touch the final position.
+    operations because their indices never touch the final position.  It is
+    also injective on value tuples, so a pasting's side carries over.
 
     memo maps the nodes of expr already rewritten to their results, by
     identity, so shared subtrees stay shared; new nodes go through table.
     """
 
-    def step(node):
+    def step(node, memo, table):
         if isinstance(node, Leaf):
-            return Leaf(MonotoneMap(node.map.values + (t,), node.map.codomain))
-        return node
+            return _cons(table, Leaf(MonotoneMap(node.map.values + (t,), node.map.codomain)))
+        new = _kept(node, memo, table)
+        if id(node) in sides:
+            sides[id(new)] = sides[id(node)]
+        return new
 
     return _rewrite(expr, step, memo, table)

@@ -375,6 +375,8 @@ def check_membership(x):
     and only on the basis elements on which some term of x is injective: the
     image of any other is zero and holds no witness.
     """
+    if not isinstance(x, ZMorphism):
+        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
     return _membership(x, _images(x))
 
 

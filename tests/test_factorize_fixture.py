@@ -3,18 +3,30 @@ node of a tree is a member, and membership is checked once per call."""
 
 import json
 import os
+import random
 import time
 
+import pytest
+
 from osimplex import oriental
-from osimplex.oriental import eval_expr, factorize
+from osimplex.oriental import eval_expr, factorize, simplify
 from osimplex.simplex import MonotoneMap, face_generator
 from osimplex.zdelta import ZMorphism, check_membership
+
+from conftest import random_oriental
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "factorize_strings.json")
 
 
 def identity(m):
     return ZMorphism.generator(MonotoneMap(tuple(range(m + 1)), m))
+
+
+def distinct_nodes(expr):
+    seen = set()
+    for node in oriental._postorder(expr, lambda node: id(node) in seen):
+        seen.add(id(node))
+        yield node
 
 
 def test_factorize_strings_match_fixture():
@@ -28,11 +40,7 @@ def test_factorize_strings_match_fixture():
         assert str(factorize(x)) == entry["simplified"], str(x)
         # Every recursive input of factorize is the value of a node, and
         # factorize checks only x: the splits of a member are members.
-        seen = set()
-        values = set()
-        for node in oriental._postorder(raw, lambda node: id(node) in seen):
-            seen.add(id(node))
-            values.add(node.evaluate())
+        values = {node.evaluate() for node in distinct_nodes(raw)}
         for value in values:
             assert check_membership(value).ok, (str(x), str(value))
 
@@ -55,6 +63,62 @@ def test_factorize_identity_m5_roundtrip():
     assert eval_expr(factorize(x)) == x
 
 
+def test_a_wrong_side_record_fails_the_final_check(monkeypatch):
+    # The default path drops units by the sides that the build records, and
+    # only the evaluation of its output checks the answer.  Flip the side of
+    # the root's pasting, whose value is x: the output is then an operand.
+    x = identity(3)
+    original = oriental._side
+    flipped = []
+
+    def wrong(value, left, right):
+        side = original(value, left, right)
+        if value == x._terms and not flipped:
+            flipped.append(side)
+            return 0 if side == 1 else 1
+        return side
+
+    monkeypatch.setattr(oriental, "_side", wrong)
+    with pytest.raises(AssertionError, match="failed to reproduce its input"):
+        factorize(x)
+    assert flipped
+    # The raw tree has no unit rule to mislead.
+    assert eval_expr(factorize(x, simplify_output=False)) == x
+
+
+def test_simplify_leaves_rebuilt_nodes_without_values():
+    # simplify decides the unit rule on the values of its input's nodes and
+    # computes none: eval_expr of the output evaluates the rebuilt nodes.
+    with open(FIXTURE, encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"]
+    rebuilt = 0
+    for x in (ZMorphism.from_json(entry["x"]) for entry in entries):
+        raw = factorize(x, simplify_output=False)
+        kept = {id(node) for node in distinct_nodes(raw)}
+        tree = simplify(raw)
+        new = [node for node in distinct_nodes(tree) if id(node) not in kept]
+        assert all(node._value is None for node in new), str(x)
+        assert eval_expr(tree) == x
+        assert all(node._value is not None for node in new), str(x)
+        rebuilt += len(new)
+    assert rebuilt >= 100
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_default_path_is_simplify_of_the_raw_tree_on_random_members(m):
+    rng = random.Random(1300 + m)
+    for _ in range(12):
+        x = random_oriental(rng, m, rng.randint(1, 5), max_domain=5)
+        raw = factorize(x, simplify_output=False)
+        assert str(factorize(x)) == str(simplify(raw)), str(x)
+
+
+def test_default_path_is_simplify_of_the_raw_tree_on_identities():
+    for m in range(8):
+        raw = factorize(identity(m), simplify_output=False)
+        assert str(factorize(identity(m))) == str(simplify(raw)), m
+
+
 def test_shared_subtrees_are_visited_once():
     # Pasting(0, e, e) of the constant (1,1) is (1,1) again, so doubling the
     # tree 60 times keeps every node valid; unfolded it has 2**61 - 1 nodes.
@@ -64,7 +128,7 @@ def test_shared_subtrees_are_visited_once():
         expr = oriental.Pasting(0, expr, expr)
     assert eval_expr(expr) == ZMorphism.generator(leaf.map)
     assert oriental.simplify(expr) == leaf
-    appended = oriental._append_to_leaves(expr, 2, {}, {})
+    appended = oriental._append_to_leaves(expr, 2, {}, {}, {})
     assert appended.left is appended.right
     assert eval_expr(appended) == ZMorphism.generator(MonotoneMap((1, 1, 2), 2))
 

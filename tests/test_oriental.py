@@ -3,13 +3,17 @@ import itertools
 import pytest
 
 from osimplex.chains import BasisElt, iterated_boundary_part
-from osimplex.errors import NotComposableError, PreconditionError
+from osimplex.errors import ArityError, NotComposableError, PreconditionError
 from osimplex.oriental import (
     check_membership,
+    eliminate_pastings,
+    eval_expr,
+    factorize,
     filler,
     first_last,
     is_oriental_morphism,
     pasting,
+    simplify,
     split_finish,
     split_middle,
     split_start,
@@ -356,3 +360,21 @@ def test_index_arguments_are_int_not_bool_or_float(name, index):
         call(-1)
     with pytest.raises(error):
         call(index)
+
+
+# Each entry passes an input of the wrong type to one entry point.
+WRONG_TYPE_CALLS = {
+    "check_membership": lambda: check_membership("x"),
+    "is_oriental_morphism": lambda: is_oriental_morphism(3),
+    "first_last": lambda: first_last("x"),
+    "factorize": lambda: factorize("x"),
+    "eval_expr": lambda: eval_expr(None),
+    "simplify": lambda: simplify("P_0((0,1),(1,1))"),
+    "eliminate_pastings": lambda: eliminate_pastings(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
+def test_inputs_of_the_wrong_type_raise_arity_error(name):
+    with pytest.raises(ArityError, match="expected"):
+        WRONG_TYPE_CALLS[name]()
