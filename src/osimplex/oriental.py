@@ -544,7 +544,7 @@ def simplify(expr):
     input is evaluated first, so a bad tree raises eval_expr's error, and the
     rule reads its nodes' cached values; rebuilt nodes get no value."""
     eval_expr(expr)
-    return _drop_units(expr, lambda p: _side(p._value, p.left._value, p.right._value), {})
+    return _rewrite(expr, _unit_dropped, {}, {})
 
 
 def _side(value, left, right):
@@ -555,15 +555,13 @@ def _side(value, left, right):
     return 1 if value == right else 0 if value == left else None
 
 
-def _drop_units(expr, side, table):
-    """The unit rule on expr: a pasting becomes the result of the operand
-    that side(pasting) names, if any; the others are rebuilt."""
-
-    def step(node, memo, table):
-        kid = side(node) if isinstance(node, Pasting) else None
-        return _kept(node, memo, table) if kid is None else memo[id(node.kids[kid])]
-
-    return _rewrite(expr, step, {}, table)
+def _unit_dropped(node, memo, table):
+    """The step of simplify: a pasting equal to an operand becomes its result."""
+    if isinstance(node, Pasting):
+        side = _side(node._value, node.left._value, node.right._value)
+        if side is not None:
+            return memo[id(node.kids[side])]
+    return _kept(node, memo, table)
 
 
 def eliminate_pastings(expr):
@@ -599,19 +597,18 @@ def factorize(x, simplify_output=True):
     Only x is tested for membership: the splits of a member are members that
     meet the split preconditions, as tests/test_factorize_fixture.py and
     tests/test_kernel_oracles.py check, so the recursion runs unchecked on
-    value dicts {value tuple: coefficient}, once per *distinct* input, and
-    records each pasting's _side from the dicts of its split.  The unit rule
-    reads these records, so no node has a value until the output is
-    evaluated from scratch with the checked kernels: that catches a wrong
-    node or record.
+    value dicts {value tuple: coefficient}, once per *distinct* input.  By
+    default (simplify_output, True or False) each split applies simplify's
+    unit rule to its dicts, so no operand that the rule drops is factorized.
+    No node has a value until the output is evaluated from scratch with the
+    checked kernels: that catches a wrong node or side.
     """
+    if type(simplify_output) is not bool:
+        raise TypeError(f"simplify_output must be True or False, not {simplify_output!r}")
     result = check_membership(x)
     if not result.ok:
         raise PreconditionError(f"factorize requires an oriental morphism: {result.reason}")
-    table, sides = {}, {}
-    expr = _factorize_member(x._terms, (x.codomain, {}, {}, table, sides))
-    if simplify_output:
-        expr = _drop_units(expr, lambda node: sides[id(node)], table)
+    expr = _factorize_member(x._terms, (x.codomain, {}, {}, {}, simplify_output))
     if expr.evaluate() != x:
         raise AssertionError("factorization failed to reproduce its input")
     return expr
@@ -619,9 +616,10 @@ def factorize(x, simplify_output=True):
 
 def _factorize_member(x, state):
     """The factorization of the value dict x in state = (codomain, memo,
-    appended, table, sides): memo maps the inputs already factorized to their
-    trees; appended holds the _append_to_leaves memo per t; table hash-conses
-    nodes; sides maps each pasting's id to its side."""
+    appended, table, simplified): memo maps the inputs already factorized to
+    their trees, simplified ones if simplified (a pasting's side depends only
+    on the dicts of its split); appended holds the _append_to_leaves memo per
+    t; table hash-conses nodes."""
     key = frozenset(x.items())
     expr = state[1].get(key)
     if expr is None:
@@ -630,41 +628,43 @@ def _factorize_member(x, state):
 
 
 def _factorize_new(x, state):
-    n, _, appended, table, sides = state
+    n, _, appended, table, simplified = state
     m = len(next(iter(x))) - 1
     t = max(a[-1] for a in x)
     constant = (t,) * (m + 1)
     if constant in x:
         return _cons(table, Leaf(MonotoneMap._make(constant, n)))
 
-    # Each split current = pasting(r, u, v) is kept, outermost first, with
-    # the tree of the split-off factor, on the right for the fillers split
-    # off below the top position.
-    splits = []
+    # The splits current = pasting(r, u, v), outermost first: fillers split
+    # off on the right (the factor is v) at r = k = 0,...,m-2, the
+    # top-position split at r = k = m-1, whose left factor u has a smaller
+    # greatest vertex (each of its terms ends at an a_{m-1} or an a_m below
+    # t), and fillers split off on the left (the factor is u) at
+    # r = 2m-2-k = m-2,...,0, which pivot on the last entry.  The rest of the
+    # chain splits the other operand: u (side 0) or v (side 1).  A pasting
+    # equal to the rest is skipped, one equal to its factor ends the chain
+    # there, and the others are kept.
+    pastings = []
     current = x
-    for r in range(0, m - 1):
-        u, v = _alpha_beta(current, r, t, r + 1)
-        splits.append((r, _factorize_filler(r, v, state), True, _side(current, u, v)))
-        current = u
-
-    # The top-position split lowers the greatest vertex of the left factor:
-    # each of its terms ends at an a_{m-1} or an a_m below t.
-    u, v = _alpha_beta(current, m - 1, t, m)
-    splits.append((m - 1, _factorize_member(u, state), False, _side(current, u, v)))
-    current = v
-
-    # Fillers split off on the left, top position downward.
-    for r in range(m - 2, -1, -1):
-        u, v = _alpha_beta(current, r, t, m)
-        splits.append((r, _factorize_filler(r, u, state), False, _side(current, u, v)))
-        current = v
-
-    # The residue ends at t everywhere; recurse one domain down and append t.
-    below = _factorize_member(_face(current, m), state)
-    tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table, sides)
-    for r, factor, on_right, side in reversed(splits):
+    for k in range(2 * m - 1):
+        on_right = k < m - 1
+        r = k if k < m else 2 * m - 2 - k
+        u, v = _alpha_beta(current, r, t, r + 1 if k < m else m)
+        side = _side(current, u, v) if simplified else None
+        current, part = (u, v) if on_right else (v, u)
+        if side != (0 if on_right else 1):
+            factor = (_factorize_member(part, state) if r == m - 1
+                      else _factorize_filler(r, part, state))
+            if side is not None:
+                tree = factor
+                break
+            pastings.append((r, factor, on_right))
+    else:
+        # The residue ends at t everywhere; recurse one domain down and append t.
+        below = _factorize_member(_face(current, m), state)
+        tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
+    for r, factor, on_right in reversed(pastings):
         tree = _cons(table, Pasting(r, tree, factor) if on_right else Pasting(r, factor, tree))
-        sides[id(tree)] = side
     return tree
 
 
@@ -674,10 +674,10 @@ def _factorize_filler(r, v, state):
     return _cons(state[3], Filler(r, left, _factorize_member(_face(v, r), state)))
 
 
-def _append_to_leaves(expr, t, memo, table, sides):
+def _append_to_leaves(expr, t, memo, table):
     """Append the vertex t to every leaf; this commutes with all node
     operations because their indices never touch the final position.  It is
-    also injective on value tuples, so a pasting's side carries over.
+    also injective on value tuples, so no pasting gains or loses a unit.
 
     memo maps the nodes of expr already rewritten to their results, by
     identity, so shared subtrees stay shared; new nodes go through table.
@@ -686,9 +686,6 @@ def _append_to_leaves(expr, t, memo, table, sides):
     def step(node, memo, table):
         if isinstance(node, Leaf):
             return _cons(table, Leaf(MonotoneMap(node.map.values + (t,), node.map.codomain)))
-        new = _kept(node, memo, table)
-        if id(node) in sides:
-            sides[id(new)] = sides[id(node)]
-        return new
+        return _kept(node, memo, table)
 
     return _rewrite(expr, step, memo, table)

@@ -91,6 +91,14 @@ def test_factorize_rejects_non_members():
         factorize(parse_zmorphism("2*(0,1) - (1,1)", 2))
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, 0.0])
+def test_factorize_rejects_a_non_bool_simplify_output(flag):
+    # Neither truthiness nor equality with True picks the path.
+    x = parse_zmorphism("(0,1) - (1,1) + (1,2)", 2)
+    with pytest.raises(TypeError, match="^simplify_output must be True or False, not "):
+        factorize(x, simplify_output=flag)
+
+
 def leaves_in_order(expr):
     if isinstance(expr, Leaf):
         return [expr.map.values]

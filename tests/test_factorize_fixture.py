@@ -64,9 +64,10 @@ def test_factorize_identity_m5_roundtrip():
 
 
 def test_a_wrong_side_record_fails_the_final_check(monkeypatch):
-    # The default path drops units by the sides that the build records, and
-    # only the evaluation of its output checks the answer.  Flip the side of
-    # the root's pasting, whose value is x: the output is then an operand.
+    # The default path decides each pasting's side in the build, from the
+    # dicts of its split, and only the evaluation of its output checks the
+    # answer.  Flip the side of the root's pasting, whose value is x: the
+    # output is then the other operand.
     x = identity(3)
     original = oriental._side
     flipped = []
@@ -114,9 +115,37 @@ def test_default_path_is_simplify_of_the_raw_tree_on_random_members(m):
 
 
 def test_default_path_is_simplify_of_the_raw_tree_on_identities():
-    for m in range(8):
+    for m in range(9):
         raw = factorize(identity(m), simplify_output=False)
         assert str(factorize(identity(m))) == str(simplify(raw)), m
+
+
+def test_default_path_builds_no_pasting_on_identities(monkeypatch):
+    # Every pasting of an identity's raw tree equals an operand, so the
+    # default path, which applies the unit rule as it builds, makes none and
+    # returns the identity leaf; the raw path still builds the same tree.
+    raws = {m: factorize(identity(m), simplify_output=False) for m in (4, 6)}
+    built = []
+
+    class Counted(oriental.Pasting):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(oriental, "Pasting", Counted)
+    for m in (4, 6):
+        built.clear()
+        assert factorize(identity(m)) == oriental.Leaf(MonotoneMap(tuple(range(m + 1)), m))
+        assert built == [], m
+        raw = factorize(identity(m), simplify_output=False)
+        assert built, m
+        assert type(raw) is Counted
+        # Printed, the raw m=6 tree is 144 MB; equality walks distinct nodes.
+        assert raw == raws[m], m
+        if m == 4:
+            assert str(raw) == str(raws[m])
 
 
 def test_shared_subtrees_are_visited_once():
@@ -128,7 +157,7 @@ def test_shared_subtrees_are_visited_once():
         expr = oriental.Pasting(0, expr, expr)
     assert eval_expr(expr) == ZMorphism.generator(leaf.map)
     assert oriental.simplify(expr) == leaf
-    appended = oriental._append_to_leaves(expr, 2, {}, {}, {})
+    appended = oriental._append_to_leaves(expr, 2, {}, {})
     assert appended.left is appended.right
     assert eval_expr(appended) == ZMorphism.generator(MonotoneMap((1, 1, 2), 2))
 
@@ -213,8 +242,15 @@ def test_recursion_runs_on_value_dicts_without_split_checks(monkeypatch):
     for x, (raw, simplified) in zip(xs, expected):
         assert str(factorize(x, simplify_output=False)) == raw, str(x)
         assert str(factorize(x)) == simplified, str(x)
-    # Each distinct recursive input is solved once per call.
+    # Each distinct recursive input is solved once per call.  The default
+    # path factorizes no operand that the unit rule drops: for an identity
+    # only the identities below it, whose pastings all equal the rest.
     for m, distinct in ((4, 80), (5, 215), (6, 561)):
         calls.clear()
-        factorize(identity(m))
+        factorize(identity(m), simplify_output=False)
         assert len(calls) == distinct, m
+        calls.clear()
+        factorize(identity(m))
+        assert [frozenset(x.items()) for x in calls] == [
+            frozenset(identity(k)._terms.items()) for k in range(m, -1, -1)
+        ], m
