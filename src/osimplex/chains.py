@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from .errors import ArityError, PreconditionError
 from .simplex import MonotoneMap, _Ordered
-from .zdelta import ZMorphism, _Combination, _image_terms, _images, _sum_pairs
+from .zdelta import ZMorphism, _Combination, _images, _sum_pairs
 
 
 class BasisElt(_Ordered):
@@ -265,7 +265,8 @@ def apply_map(f, b):
         raise ArityError(
             f"basis element {b} lives in {b.ambient}, map has domain {f.domain}"
         )
-    return Chain._make(b.dimension, f.codomain, _image_terms([(f.values, 1)], b.vertices))
+    image = tuple([f.values[v] for v in b.vertices])
+    return Chain._make(b.dimension, f.codomain, {image: 1} if len(set(image)) == len(image) else {})
 
 
 class ChainMapTable:
@@ -281,24 +282,21 @@ class ChainMapTable:
         return ChainMapTable, (self.m, self.n, self.images)
 
     def image(self, b):
-        return self.images[b]
+        """The image of b, which must be a chain of b's dimension in ambient n."""
+        if b not in self.images:
+            raise ArityError(f"table has no image of {b}")
+        image = self.images[b]
+        if not isinstance(image, Chain) or image._shape != (b.dimension, self.n):
+            raise ArityError(f"image of {b} has the wrong shape")
+        return image
 
     def apply(self, chain):
         """Extend the table linearly to an arbitrary chain over its domain."""
         if chain.ambient != self.m:
             raise ArityError(f"chain lives in {chain.ambient}, table has domain {self.m}")
-        images = []
-        for v, c in chain._terms.items():
-            b = BasisElt._make(v, self.m)
-            try:
-                image = self.images[b]
-            except KeyError:
-                raise ArityError(f"table has no image of {b}") from None
-            if not isinstance(image, Chain) or image._shape != (chain.dimension, self.n):
-                raise ArityError(f"image of {b} has the wrong shape")
-            images.append((image._terms, c))
         return Chain._summed(chain.dimension, self.n, (
-            (e, c * ce) for terms, c in images for e, ce in terms.items()
+            (e, c * ce) for v, c in chain._terms.items()
+            for e, ce in self.image(BasisElt._make(v, self.m))._terms.items()
         ))
 
     def _check_shapes(self):
@@ -375,6 +373,8 @@ def to_chain_map(x):
     the zdelta._images scan, listed over the whole basis in basis order.  A
     basis element the scan does not yield has image zero, as have most that
     it does, and chains are immutable, so each dimension shares one zero."""
+    if not isinstance(x, ZMorphism):
+        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
     m, n = x.domain, x.codomain
     rows = dict(_images(x))
     zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
@@ -419,34 +419,39 @@ def from_chain_map(table):
     starting at 0, and kills those of the same dimension that precede a
     lexicographically.  Solving from the top dimension down, in lexicographic
     order within each dimension, therefore reads off one coefficient per pair
-    without disturbing the rows already matched.  The solve runs on vertex
-    and value tuples: what a still needs is the table's image of a less the
-    image of a under the terms found so far, and each of its terms adds the
-    map of its pair.  The combination is built once, at the end.
+    without disturbing the rows already matched: what a still needs is the
+    table's row less the image of a under the terms found so far.  The solve
+    runs on vertex and value tuples.  One zdelta._images scan of each new
+    term pushes its image to every tuple it reaches, one term at a time, so
+    that each image sums in term order, as the answer's term order requires.
 
     Only the key set and image shapes are checked before solving.  The image
-    of any combination is a chain map, so validate() runs only when the
-    image of the answer differs from the table, to reject it with its
-    message.  zdelta._images yields only the basis elements on which some
-    term of the answer is injective, so the answer's nonzero images and the
-    table's nonzero rows are compared as two dicts: a nonzero row where no
-    term is injective fails too.
+    of any combination is a chain map, so validate() runs, to reject the
+    table with its message, only when the pushed images differ from the
+    table's nonzero rows, as a nonzero row where no term is injective does.
     """
+    if not isinstance(table, ChainMapTable):
+        raise ArityError(f"expected a chain-map table, not {type(table).__name__}")
     table._check_shapes()
     m, n = table.m, table.n
     rows = {b.vertices: chain._terms for b, chain in table.images.items() if chain._terms}
+    pushed = {}
     acc = {}
     for q in range(m, -1, -1):
         for rest in combinations(range(1, m + 1), q):
             verts = (0,) + rest
+            if verts not in rows and verts not in pushed:
+                continue
             need = _sum_pairs([
                 *rows.get(verts, {}).items(),
-                *((e, -c) for e, c in _image_terms(acc.items(), verts).items()),
+                *((e, -c) for e, c in _sum_pairs(pushed.get(verts, ())).items()),
             ])
-            # Each pair (a, b) gives a different map, so no term is hit twice.
-            acc.update((_pair_values(verts, e, m), c) for e, c in need.items())
-    acc = ZMorphism._make(m, n, acc)
-    if {verts: image for verts, image in _images(acc) if image} != rows:
+            for e, c in need.items():
+                # Each pair (a, b) gives a different map, so no term is hit twice.
+                acc[values := _pair_values(verts, e, m)] = c
+                for w, image in _images(ZMorphism._make(m, n, {values: c})):
+                    pushed.setdefault(w, []).extend(image.items())
+    if {w: image for w, terms in pushed.items() if (image := _sum_pairs(terms))} != rows:
         table.validate()
         raise AssertionError("chain-map inversion failed to reproduce the table")
-    return acc
+    return ZMorphism._make(m, n, acc)

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     json_int,
 )
-from .zdelta import _images, _membership
+from .zdelta import ZMorphism, _images, _membership
 
 
 def violations(n, pairs):
@@ -326,6 +326,8 @@ def enumerate_cells(n, bound=3, max_cells=None):
     """
     if type(n) is not int or n < 0:
         basis_elements(n)  # raises ValueError
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be a nonnegative integer, got {bound!r}")
     if max_cells is not None and (type(max_cells) is not int or max_cells < 0):
         raise ValueError(f"max_cells must be None or a nonnegative integer, got {max_cells!r}")
     if n > bound:
@@ -429,6 +431,10 @@ def act(x, cell):
     chain-map rows come from the zdelta._images scan, which skips the basis
     elements on which no term of x is injective; their rows read as zero.
     """
+    if not isinstance(x, ZMorphism):
+        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
+    if not isinstance(cell, Cell):
+        raise ArityError(f"expected a cell, not {type(cell).__name__}")
     if cell.ambient != x.domain:
         raise ArityError(
             f"cell lives over {cell.ambient}, morphism has domain {x.domain}"

@@ -10,7 +10,7 @@ of membership among the morphisms of oriented simplexes.
 """
 
 import re
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .errors import ArityError, ParseError, json_int
 from .simplex import MonotoneMap, _Frozen, degeneracy_generator, face_generator
@@ -410,22 +410,11 @@ def is_oriental_morphism(x):
     return check_membership(x).ok
 
 
-def _image_terms(terms, verts):
-    """The image of the basis element with vertices verts under the chain map
-    of the combination with these (map values, coefficient) terms, as {vertex
-    tuple: coefficient} summed in term order with a zero sum dropped at once."""
-    k = len(verts)
-    pick = itemgetter(*verts) if k > 1 else lambda values: (values[verts[0]],)
-    # The image is non-decreasing, so it is a basis element when distinct.
-    return _sum_pairs(
-        (image, c) for values, c in terms if len(set(image := pick(values))) == k
-    )
-
-
 def _images(x):
-    """Yield (vertices, _image_terms of them under x) for every basis element
-    of the complex on the domain of x on which some term of x is injective,
-    in the order of chains.basis_elements.  Every other image is zero.
+    """Yield (vertices, image under the chain map of x, as {vertex tuple:
+    coefficient} summed in term order) for every basis element of the complex
+    on the domain of x on which some term of x is injective, in basis order.
+    Every other image is zero.  The package reads every image of x here.
 
     A term is injective on a vertex tuple only if it is injective on the
     tuple less its last vertex, so each level is built from the one below:

@@ -191,6 +191,9 @@ def test_apply_rejects_a_table_without_the_chains_basis_element():
     with pytest.raises(ArityError) as err:
         ChainMapTable(1, 2, {}).apply(Chain(0, 1, [((1,), 1)]))
     assert str(err.value) == "table has no image of [1]"
+    with pytest.raises(ArityError) as err:
+        ChainMapTable(1, 2, {}).image(BasisElt((1,), 1))
+    assert str(err.value) == "table has no image of [1]"
 
 
 def test_apply_rejects_an_image_that_is_not_a_chain():
@@ -199,6 +202,9 @@ def test_apply_rejects_an_image_that_is_not_a_chain():
     table.images[b] = table.images[b].terms
     with pytest.raises(ArityError) as err:
         table.apply(Chain.of(b))
+    assert str(err.value) == "image of [0,1] has the wrong shape"
+    with pytest.raises(ArityError) as err:
+        table.image(b)
     assert str(err.value) == "image of [0,1] has the wrong shape"
 
 
@@ -240,6 +246,12 @@ def test_from_chain_map_examples():
 
     table = to_chain_map(ZMorphism.generator(MonotoneMap((0, 0), 1)))
     assert from_chain_map(table) == ZMorphism.generator(MonotoneMap((0, 0), 1))
+
+    # The row at [0] is zero; only the image pushed from the term found at
+    # [0,1] gives the term (0,0).
+    x = parse_zmorphism("(0,0) - (0,1)", 1)
+    assert to_chain_map(x).image(BasisElt((0,), 1)).is_zero()
+    assert from_chain_map(to_chain_map(x)) == x
 
 
 def test_from_chain_map_roundtrip_random(rng):

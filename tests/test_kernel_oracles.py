@@ -45,7 +45,7 @@ from osimplex.simplex import (
     enumerate_injective_into,
     face_generator,
 )
-from osimplex.zdelta import ZMorphism, _images, _sum_pairs
+from osimplex.zdelta import ZMorphism, _images, _sum_pairs, parse_zmorphism
 
 from conftest import random_map, random_oriental, random_zmorphism
 from test_chainmaps import INVALID_TABLES, _edited_table
@@ -369,6 +369,20 @@ def test_tuple_solve_matches_chain_solve_in_term_order():
         got = outcome(from_chain_map, table)
         assert got == outcome(chain_solve_from_chain_map, table), str(x)
         assert from_chain_map(table) == x
+
+
+def test_tuple_solve_keeps_the_term_order_where_a_running_sum_passes_zero():
+    # In the first, the row at [0] less the images pushed there reaches zero
+    # before the last push; in the second, the two terms found at [0,1] both
+    # send [0] to (0,), and the first cancels what [0,1,2] pushed there.  A
+    # solve that holds row and pushed image in one dict, or that pushes all
+    # the terms found at one tuple in one scan, reorders these answers.
+    for text, n in (
+        ("(0,0,0) - (0,0,1) + 2*(0,1,1) - (1,1,1)", 1),
+        ("-(0,2,2) + (0,1,2) + (1,2,3) + 2*(0,1,1) - 2*(0,0,0) - (1,1,1)", 3),
+    ):
+        table = to_chain_map(parse_zmorphism(text, n))
+        assert outcome(from_chain_map, table) == outcome(chain_solve_from_chain_map, table)
 
 
 def tampered_tables(seed, count):

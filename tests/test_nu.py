@@ -187,6 +187,18 @@ def test_max_cells_is_checked_before_the_search(monkeypatch, max_cells):
         enumerate_cells(2, max_cells=max_cells)
 
 
+@pytest.mark.parametrize("bound", [-1, True, 2.5, "4"])
+def test_bound_is_checked_before_the_search(monkeypatch, bound):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(nu, "_nonneg_preimages", no_search)
+    monkeypatch.setattr(nu, "_atom_closure", no_search)
+    for check in (enumerate_cells, check_atom_generation):
+        with pytest.raises(ValueError, match="bound must be a nonnegative integer"):
+            check(2, bound=bound)
+
+
 @pytest.mark.parametrize("n", [-1, True])
 @pytest.mark.parametrize(
     "entry",

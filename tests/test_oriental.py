@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from osimplex.chains import BasisElt, iterated_boundary_part
+from osimplex.chains import BasisElt, from_chain_map, iterated_boundary_part, to_chain_map
 from osimplex.errors import ArityError, NotComposableError, PreconditionError
+from osimplex.nu import act, atom
 from osimplex.oriental import (
     check_membership,
     eliminate_pastings,
@@ -371,6 +372,11 @@ WRONG_TYPE_CALLS = {
     "eval_expr": lambda: eval_expr(None),
     "simplify": lambda: simplify("P_0((0,1),(1,1))"),
     "eliminate_pastings": lambda: eliminate_pastings(3),
+    "to_chain_map": lambda: to_chain_map("x"),
+    "from_chain_map": lambda: from_chain_map("x"),
+    "from_chain_map of a combination": lambda: from_chain_map(gen((0, 1), 1)),
+    "act by a non-combination": lambda: act("x", atom(BasisElt((0, 1), 1))),
+    "act on a non-cell": lambda: act(gen((0, 1), 1), "c"),
 }
 
 
