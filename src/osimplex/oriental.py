@@ -18,7 +18,7 @@ from .errors import (
     json_int,
 )
 from .simplex import MonotoneMap, face_generator
-from .zdelta import ZMorphism, _repeated, _sum_pairs
+from .zdelta import ZMorphism, _sum_pairs
 # Exported here too; factorize calls check_membership through this global.
 from .zdelta import MembershipResult, check_membership, is_oriental_morphism
 
@@ -31,7 +31,8 @@ def _check_filler_pre(i, x, y):
     """The value dicts of x and y, after the type, shape and index checks."""
     if not isinstance(x, ZMorphism) or not isinstance(y, ZMorphism):
         raise ArityError("filler and pasting act on combinations of monotone maps")
-    x._check_shape(y)
+    if x.domain != y.domain or x.codomain != y.codomain:
+        x._check_shape(y)  # raises ArityError
     if type(i) is not int or not 0 <= i <= x.domain - 1:
         raise NotComposableError(f"index {i} out of range for domain {x.domain}")
     return x._terms, y._terms
@@ -39,26 +40,32 @@ def _check_filler_pre(i, x, y):
 
 def _face(x, i):
     """Face i of the value dict x, summed as ZMorphism.face sums it."""
-    return _sum_pairs([(_repeated(a, i, 0), c) for a, c in x.items()])
+    return _sum_pairs([(a[:i] + a[i + 1:], c) for a, c in x.items()])
 
 
 def _fused(i, x, y, up):
     """The filler (up=1) or pasting (up=0) at i of the value dicts x and y as
     unsummed pairs: the terms of x.degeneracy(i + 1), -x.face(i).degeneracy(i)
     .degeneracy(i) and y.degeneracy(i), or of x, -x.face(i).degeneracy(i) and
-    y.  Each block has distinct keys, so their sum has the terms, in order,
-    of those repeated additions."""
+    y, each block a slice of its tuples.  Each block has distinct keys, so
+    their sum has the terms, in order, of those repeated additions."""
     face = _face(x, i)
-    if face != _face(y, i + 1):
+    rest = face.copy()
+    for a, c in y.items():
+        a = a[:i + 1] + a[i + 2:]
+        rest[a] = rest.get(a, 0) - c
+    if any(rest.values()):
         raise NotComposableError(
             f"face mismatch: face {i} of the left operand differs from "
             f"face {i + 1} of the right operand"
         )
-    return (
-        [(_repeated(a, i + 1, 1 + up), c) for a, c in x.items()]
-        + [(_repeated(a, i, 2 + up), -c) for a, c in face.items()]
-        + [(_repeated(a, i, 1 + up), c) for a, c in y.items()]
-    )
+    if up:
+        return (
+            [(a[:i + 2] + a[i + 1:], c) for a, c in x.items()]
+            + [(a[:i + 1] + a[i:i + 1] + a[i:], -c) for a, c in face.items()]
+            + [(a[:i + 1] + a[i:], c) for a, c in y.items()]
+        )
+    return [*x.items(), *[(a[:i + 1] + a[i:], -c) for a, c in face.items()], *y.items()]
 
 
 def filler(i, x, y):
@@ -277,6 +284,13 @@ def _route(root, target):
     return route
 
 
+def _checked(value, cls, what):
+    """value, after the check that it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ArityError(f"expected {what}, not {type(value).__name__}")
+    return value
+
+
 def _map_text(f):
     return "(" + ",".join(map(str, f.values)) + ")"
 
@@ -287,7 +301,7 @@ class Leaf(Expr):
     __slots__ = ("map",)
 
     def __init__(self, f):
-        self.map = f
+        self.map = _checked(f, MonotoneMap, "a monotone map")
         self.kids = ()
         self._value = self._hash = self._printed = None
 
@@ -315,8 +329,8 @@ class _Node(Expr):
 
     def __init__(self, index, left, right):
         self.index = index
-        self.left = left
-        self.right = right
+        self.left = _checked(left, Expr, "an expression tree")
+        self.right = _checked(right, Expr, "an expression tree")
         self.kids = (left, right)
         self._value = self._hash = self._printed = None
 
@@ -365,8 +379,8 @@ class ComposeMap(Expr):
     labels = ("inner",)
 
     def __init__(self, inner, f):
-        self.inner = inner
-        self.map = f
+        self.inner = _checked(inner, Expr, "an expression tree")
+        self.map = _checked(f, MonotoneMap, "a monotone map")
         self.kids = (inner,)
         self._value = self._hash = self._printed = None
 
@@ -390,9 +404,7 @@ class ComposeMap(Expr):
 def eval_expr(expr):
     """Evaluate an expression tree bottom-up, checking every node's
     face-matching precondition; failures carry the offending node path."""
-    if not isinstance(expr, Expr):
-        raise ArityError(f"expected an expression tree, not {type(expr).__name__}")
-    return expr.evaluate()
+    return _checked(expr, Expr, "an expression tree").evaluate()
 
 
 def expr_from_json(data, n):
@@ -681,11 +693,14 @@ def _append_to_leaves(expr, t, memo, table):
 
     memo maps the nodes of expr already rewritten to their results, by
     identity, so shared subtrees stay shared; new nodes go through table.
+    The new leaf maps are built unchecked: t is the greatest vertex of the
+    input, so it is at least every value of a leaf below it and at most the
+    codomain, which is unchanged.
     """
 
     def step(node, memo, table):
         if isinstance(node, Leaf):
-            return _cons(table, Leaf(MonotoneMap(node.map.values + (t,), node.map.codomain)))
+            return _cons(table, Leaf(MonotoneMap._make(node.map.values + (t,), node.map.codomain)))
         return _kept(node, memo, table)
 
     return _rewrite(expr, step, memo, table)

@@ -19,13 +19,6 @@ from .simplex import MonotoneMap, _Frozen, degeneracy_generator, face_generator
 _set = object.__setattr__
 
 
-def _repeated(a, i, k):
-    """The value tuple a with its entry i occurring k times: the values of
-    face i for k=0, a itself for k=1, degeneracy i for k=2 and degeneracy i
-    applied twice for k=3."""
-    return a[:i] + a[i:i + 1] * k + a[i + 1:]
-
-
 def _sum_pairs(pairs):
     """The dict of (key, nonzero coefficient) pairs summed in order with a
     zero sum dropped at once, as repeated addition does."""
@@ -202,7 +195,11 @@ class ZMorphism(_Combination):
     @classmethod
     def generator(cls, f, coefficient=1):
         """The combination with the single term coefficient * f."""
-        return cls(f.domain, f.codomain, [(f, coefficient)])
+        if not isinstance(f, MonotoneMap):
+            raise ArityError(f"expected a monotone map, not {type(f).__name__}")
+        if type(coefficient) is not int:
+            raise ValueError(f"coefficients must be integers, got {coefficient!r}")
+        return cls._make(f.domain, f.codomain, {f.values: coefficient} if coefficient else {})
 
     def coefficient_sum(self):
         return sum(self._terms.values())
@@ -238,7 +235,7 @@ class ZMorphism(_Combination):
         if type(i) is not int or self.domain <= 0 or not 0 <= i <= self.domain:
             face_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain - 1, self.codomain, (
-            (_repeated(a, i, 0), c) for a, c in self._terms.items()
+            (a[:i] + a[i + 1:], c) for a, c in self._terms.items()
         ))
 
     def degeneracy(self, i):
@@ -246,7 +243,7 @@ class ZMorphism(_Combination):
         if type(i) is not int or not 0 <= i <= self.domain:
             degeneracy_generator(i, self.domain)  # raises IndexError
         return ZMorphism._summed(self.domain + 1, self.codomain, (
-            (_repeated(a, i, 2), c) for a, c in self._terms.items()
+            (a[:i + 1] + a[i:], c) for a, c in self._terms.items()
         ))
 
     def injective_part(self):

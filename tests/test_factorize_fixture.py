@@ -45,6 +45,22 @@ def test_factorize_strings_match_fixture():
             assert check_membership(value).ok, (str(x), str(value))
 
 
+def test_leaf_maps_are_the_maps_the_checking_constructor_builds():
+    # Appending the greatest vertex to the leaves builds their maps
+    # unchecked; each must be a valid map into the codomain of the input.
+    with open(FIXTURE, encoding="utf-8") as handle:
+        inputs = [ZMorphism.from_json(entry["x"]) for entry in json.load(handle)["entries"]]
+    leaves = 0
+    for x in inputs + [identity(m) for m in range(7)]:
+        for node in distinct_nodes(factorize(x, simplify_output=False)):
+            if isinstance(node, oriental.Leaf):
+                f = node.map
+                assert type(f.values) is tuple and f.codomain == x.codomain, str(x)
+                assert f == MonotoneMap(f.values, f.codomain), str(x)
+                leaves += 1
+    assert leaves >= 1000
+
+
 def test_factorize_checks_membership_once_per_call(monkeypatch):
     calls = []
     original = oriental.check_membership

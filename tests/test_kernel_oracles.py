@@ -201,18 +201,23 @@ def test_arbitrary_combinations_match_reference():
 
 
 def test_face_and_degeneracy_match_composites():
+    """Equal with the terms in the same order (outcome compares item lists)."""
     rng = random.Random(505)
-    for _ in range(200):
+    collided = 0
+    for _ in range(2000):
         m = rng.randint(0, 5)
         x = random_zmorphism(rng, m, rng.randint(0, 4), max_terms=6)
         for i in range(m + 1):
             if m:
                 face = ZMorphism.generator(face_generator(i, m))
-                assert x.face(i) == reference_compose(x, face)
+                assert outcome(x.face, i) == outcome(reference_compose, x, face)
+                collided += len(x.face(i).terms) < len(x.terms)
             degeneracy = ZMorphism.generator(degeneracy_generator(i, m))
-            assert x.degeneracy(i) == reference_compose(x, degeneracy)
+            assert outcome(x.degeneracy, i) == outcome(reference_compose, x, degeneracy)
         y = random_zmorphism(rng, rng.randint(0, 3), m, max_terms=4)
-        assert x.compose(y) == reference_compose(x, y)
+        assert outcome(x.compose, y) == outcome(reference_compose, x, y)
+    # The sample has faces whose terms collide, where the order can differ.
+    assert collided >= 500
 
 
 def test_face_and_degeneracy_reject_bad_indices():

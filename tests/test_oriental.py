@@ -6,6 +6,10 @@ from osimplex.chains import BasisElt, from_chain_map, iterated_boundary_part, to
 from osimplex.errors import ArityError, NotComposableError, PreconditionError
 from osimplex.nu import act, atom
 from osimplex.oriental import (
+    ComposeMap,
+    Filler,
+    Leaf,
+    Pasting,
     check_membership,
     eliminate_pastings,
     eval_expr,
@@ -384,3 +388,33 @@ WRONG_TYPE_CALLS = {
 def test_inputs_of_the_wrong_type_raise_arity_error(name):
     with pytest.raises(ArityError, match="expected"):
         WRONG_TYPE_CALLS[name]()
+
+
+LEAF = Leaf(MonotoneMap((0, 1), 1))
+
+# Each entry builds an expression node, or the value of a leaf, on a part of
+# the wrong type, which is rejected at once and not when the tree is used.
+WRONG_TYPE_PARTS = {
+    "Leaf of a tuple": (lambda: Leaf((0, 1)), "a monotone map, not tuple"),
+    "Leaf of a list": (lambda: Leaf([0, 1]), "a monotone map, not list"),
+    "Filler of a string": (lambda: Filler(0, "a", LEAF), "an expression tree, not str"),
+    "Pasting of a map": (
+        lambda: Pasting(0, LEAF, MonotoneMap((1, 1), 1)), "an expression tree, not MonotoneMap"
+    ),
+    "ComposeMap with a tuple": (lambda: ComposeMap(LEAF, (0,)), "a monotone map, not tuple"),
+    "ComposeMap of a combination": (
+        lambda: ComposeMap(gen((0, 1), 1), MonotoneMap((0,), 1)),
+        "an expression tree, not ZMorphism",
+    ),
+    "ZMorphism.generator of a tuple": (
+        lambda: ZMorphism.generator((0, 1)), "a monotone map, not tuple"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_PARTS))
+def test_expression_parts_of_the_wrong_type_raise_arity_error(name):
+    call, message = WRONG_TYPE_PARTS[name]
+    with pytest.raises(ArityError) as info:
+        call()
+    assert str(info.value) == "expected " + message
