@@ -10,7 +10,7 @@ verification that the prescribed bases are unital and strongly loop-free.
 from itertools import combinations
 from operator import attrgetter
 
-from .errors import ArityError, PreconditionError
+from .errors import ArityError, PreconditionError, _checked
 from .simplex import MonotoneMap, _Ordered
 from .zdelta import ZMorphism, _Combination, _images, _sum_pairs
 
@@ -86,6 +86,7 @@ class Chain(_Combination):
 
     __slots__ = ("dimension", "ambient")
     _key = BasisElt
+    _key_text = "a basis element"
     _shape = property(attrgetter("dimension", "ambient"))
     _shape_text = "dim {} in {}"
     _brackets = "[]"
@@ -152,6 +153,11 @@ def _faces(terms):
     )
 
 
+def _pushed(rows, terms):
+    """Terms pushed through rows {key: image dict}, in term order; a missing row is zero."""
+    return _sum_pairs((e, c * ce) for v, c in terms for e, ce in rows.get(v, {}).items())
+
+
 def _part_tower(p, k, sign):
     """The 0..k-fold parts of the chosen sign of [0,...,p], as a list of
     {position tuple: coefficient} dicts: each boundary is summed as
@@ -182,7 +188,7 @@ def iterated_boundary_part(b, k, sign):
     """
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
-    p = b.dimension
+    p = _checked(b, BasisElt, "a basis element").dimension
     if type(k) is not int or not 0 <= k <= p:
         raise PreconditionError(f"iteration count {k} out of range for dimension {p}")
     return _relabelled(b, _part_tower(p, k, sign)[k], p - k)
@@ -223,6 +229,8 @@ def loopfree_less(a, b):
     a < b if a_0 < b_0; or a_0 = b_0 and a is a single vertex; or both tails
     are nonempty and the tail of a exceeds the tail of b.
     """
+    for v in (a, b):
+        _checked(v, BasisElt, "a basis element")
     if a.ambient != b.ambient:
         raise ArityError("comparison requires a common ambient complex")
     if a == b:
@@ -261,7 +269,8 @@ def check_strongly_loopfree(n):
 def apply_map(f, b):
     """Push a basis element through a monotone map: the image tuple if its
     entries are distinct, the zero chain otherwise."""
-    if b.ambient != f.domain:
+    _checked(f, MonotoneMap, "a monotone map")
+    if _checked(b, BasisElt, "a basis element").ambient != f.domain:
         raise ArityError(
             f"basis element {b} lives in {b.ambient}, map has domain {f.domain}"
         )
@@ -292,30 +301,33 @@ class ChainMapTable:
 
     def apply(self, chain):
         """Extend the table linearly to an arbitrary chain over its domain."""
-        if chain.ambient != self.m:
+        if _checked(chain, Chain, "a chain").ambient != self.m:
             raise ArityError(f"chain lives in {chain.ambient}, table has domain {self.m}")
-        return Chain._summed(chain.dimension, self.n, (
-            (e, c * ce) for v, c in chain._terms.items()
-            for e, ce in self.image(BasisElt._make(v, self.m))._terms.items()
-        ))
+        rows = {v: self.image(BasisElt._make(v, self.m))._terms for v in chain._terms}
+        return Chain._make(chain.dimension, self.n, _pushed(rows, chain._terms.items()))
 
-    def _check_shapes(self):
-        """Raise unless the keys are the basis on m and each image has its
-        key's dimension, in ambient n.  Distinct basis elements on m that
-        number 2^(m+1) - 1 are all of them, so the keys are counted and
-        checked one by one, with no basis built."""
-        m = self.m
+    def _rows(self):
+        """The nonzero rows {vertex tuple: image terms}, after one pass over
+        the counted keys (2^(m+1) - 1 distinct basis elements on m are all of
+        them) that reports a wrong key anywhere before a wrong image shape."""
+        m, n = self.m, self.n
         if type(m) is not int or m < 0:
             basis_elements(m)  # raises ValueError
-        if len(self.images) != 2 ** (m + 1) - 1 or not all(
-            type(b) is BasisElt and b.ambient == m for b in self.images
-        ):
-            raise PreconditionError(
-                f"table must cover exactly the basis of the complex on {m}"
-            )
+        cover = PreconditionError(f"table must cover exactly the basis of the complex on {m}")
+        if len(self.images) != 2 ** (m + 1) - 1:
+            raise cover
+        rows, wrong = {}, None
         for b, chain in self.images.items():
-            if not isinstance(chain, Chain) or chain._shape != (b.dimension, self.n):
-                raise PreconditionError(f"image of {b} has the wrong shape")
+            if type(b) is not BasisElt or b.ambient != m:
+                raise cover
+            if (not isinstance(chain, Chain) or chain.dimension != len(b.vertices) - 1
+                    or chain.ambient != n):
+                wrong = wrong or b
+            elif chain._terms:
+                rows[b.vertices] = chain._terms
+        if wrong:
+            raise PreconditionError(f"image of {wrong} has the wrong shape")
+        return rows
 
     def validate(self):
         """Raise unless the table is a well-formed chain map.
@@ -325,23 +337,20 @@ class ChainMapTable:
         multiplier on the augmentation module).  A table that does not
         commute is named by its first failing element in basis order.
         """
-        self._check_shapes()
-        degrees = {self.images[b].augmentation() for b in basis_elements(self.m, 0)}
-        if len(degrees) > 1:
+        rows, m = self._rows(), self.m
+        if len({sum(rows.get((v,), {}).values()) for v in range(m + 1)}) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
-        # The first m + 1 elements are the vertices, which have no boundary.
-        for b in basis_elements(self.m)[self.m + 1:]:
-            unit = Chain._make(b.dimension, self.m, {b.vertices: 1})
-            via_faces = self.apply(unit.boundary())
-            via_image = self.images[b].boundary()
-            if via_faces != via_image:
-                raise PreconditionError(f"table does not commute with the boundary at {b}")
+        for q in range(2, m + 2):  # vertices have no boundary
+            for w in combinations(range(m + 1), q):
+                if _pushed(rows, _faces([(w, 1)])) != _sum_pairs(_faces(rows.get(w, {}).items())):
+                    b = BasisElt._make(w, m)
+                    raise PreconditionError(f"table does not commute with the boundary at {b}")
 
     def compose(self, other):
         """The composite table self o other."""
-        if other.n != self.m:
+        if _checked(other, ChainMapTable, "a chain-map table").n != self.m:
             raise ArityError(
                 f"cannot compose tables: inner codomain {other.n} differs from "
                 f"outer domain {self.m}"
@@ -373,8 +382,7 @@ def to_chain_map(x):
     the zdelta._images scan, listed over the whole basis in basis order.  A
     basis element the scan does not yield has image zero, as have most that
     it does, and chains are immutable, so each dimension shares one zero."""
-    if not isinstance(x, ZMorphism):
-        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
+    _checked(x, ZMorphism, "a combination of monotone maps")
     m, n = x.domain, x.codomain
     rows = dict(_images(x))
     zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
@@ -402,6 +410,8 @@ def map_from_pair(a, b, m):
     """The monotone map associated to a basis pair (a, b): a lists the minimal
     preimages (starting at 0) in the complex on m and b, of the same
     dimension, lists the image values."""
+    for v in (a, b):
+        _checked(v, BasisElt, "a basis element")
     if a.vertices[0] != 0 or a.ambient != m or a.dimension != b.dimension:
         raise PreconditionError(
             f"({a}, {b}) is not a basis pair on {m}: the first element must "
@@ -430,11 +440,8 @@ def from_chain_map(table):
     table with its message, only when the pushed images differ from the
     table's nonzero rows, as a nonzero row where no term is injective does.
     """
-    if not isinstance(table, ChainMapTable):
-        raise ArityError(f"expected a chain-map table, not {type(table).__name__}")
-    table._check_shapes()
+    rows = _checked(table, ChainMapTable, "a chain-map table")._rows()
     m, n = table.m, table.n
-    rows = {b.vertices: chain._terms for b, chain in table.images.items() if chain._terms}
     pushed = {}
     acc = {}
     for q in range(m, -1, -1):

@@ -1,5 +1,5 @@
 """Exception types shared across the library and the command line tool, and
-the integer check for JSON input that raises them."""
+the type check on caller input and integer check on JSON input that raise them."""
 
 
 class OsimplexError(Exception):
@@ -55,4 +55,11 @@ def json_int(value, what):
     rejected rather than cut down to an integer."""
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _checked(value, cls, what):
+    """value, after the check that it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ArityError(f"expected {what}, not {type(value).__name__}")
     return value

@@ -11,7 +11,7 @@ generate everything, and the action of oriental morphisms on cells.
 
 from itertools import combinations, product
 
-from .chains import Chain, _faces, _part_tower, _relabelled, basis_elements
+from .chains import BasisElt, Chain, _faces, _part_tower, _pushed, _relabelled, basis_elements
 from .errors import (
     ArityError,
     CellConditionError,
@@ -19,6 +19,7 @@ from .errors import (
     NotComposableError,
     ParseError,
     PreconditionError,
+    _checked,
     json_int,
 )
 from .zdelta import ZMorphism, _images, _membership
@@ -219,7 +220,7 @@ class Cell:
 def atom(b):
     """The canonical cell of a basis element: the element on top of its
     iterated boundary parts, unchecked: atoms of a unital basis are cells."""
-    return next(_atoms([b]))
+    return next(_atoms([_checked(b, BasisElt, "a basis element")]))
 
 
 def _atoms(elements):
@@ -431,11 +432,8 @@ def act(x, cell):
     chain-map rows come from the zdelta._images scan, which skips the basis
     elements on which no term of x is injective; their rows read as zero.
     """
-    if not isinstance(x, ZMorphism):
-        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
-    if not isinstance(cell, Cell):
-        raise ArityError(f"expected a cell, not {type(cell).__name__}")
-    if cell.ambient != x.domain:
+    _checked(x, ZMorphism, "a combination of monotone maps")
+    if _checked(cell, Cell, "a cell").ambient != x.domain:
         raise ArityError(
             f"cell lives over {cell.ambient}, morphism has domain {x.domain}"
         )
@@ -445,12 +443,8 @@ def act(x, cell):
         raise PreconditionError(
             f"only oriental morphisms act on cells: {result.reason}"
         )
-    rows = dict(images)
-
-    def image(chain):
-        return Chain._summed(chain.dimension, x.codomain, (
-            (e, c * ce)
-            for v, c in chain._terms.items() for e, ce in rows.get(v, {}).items()
-        ))
-
-    return Cell._make(x.codomain, [(image(neg), image(pos)) for neg, pos in cell.pairs])
+    rows, n = dict(images), x.codomain
+    return Cell._make(n, [(
+        Chain._make(neg.dimension, n, _pushed(rows, neg._terms.items())),
+        Chain._make(pos.dimension, n, _pushed(rows, pos._terms.items())),
+    ) for neg, pos in cell.pairs])

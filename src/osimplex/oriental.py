@@ -15,10 +15,11 @@ from .errors import (
     NotComposableError,
     ParseError,
     PreconditionError,
+    _checked,
     json_int,
 )
 from .simplex import MonotoneMap, face_generator
-from .zdelta import ZMorphism, _sum_pairs
+from .zdelta import ZMorphism, _face, _sum_pairs
 # Exported here too; factorize calls check_membership through this global.
 from .zdelta import MembershipResult, check_membership, is_oriental_morphism
 
@@ -36,11 +37,6 @@ def _check_filler_pre(i, x, y):
     if type(i) is not int or not 0 <= i <= x.domain - 1:
         raise NotComposableError(f"index {i} out of range for domain {x.domain}")
     return x._terms, y._terms
-
-
-def _face(x, i):
-    """Face i of the value dict x, summed as ZMorphism.face sums it."""
-    return _sum_pairs([(a[:i] + a[i + 1:], c) for a, c in x.items()])
 
 
 def _fused(i, x, y, up):
@@ -96,8 +92,7 @@ def first_last(x):
     and last vertex inclusions; a cheap single-term check rejects obvious
     non-members.
     """
-    if not isinstance(x, ZMorphism):
-        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
+    _checked(x, ZMorphism, "a combination of monotone maps")
     if x.is_zero():
         raise PreconditionError("the zero combination is not an oriental morphism")
     vertices = x.vertices()
@@ -282,13 +277,6 @@ def _route(root, target):
         label, root = next(pair for pair in zip(root.labels, root.kids) if pair[1]._value is None)
         route.append(label)
     return route
-
-
-def _checked(value, cls, what):
-    """value, after the check that it is an instance of cls."""
-    if not isinstance(value, cls):
-        raise ArityError(f"expected {what}, not {type(value).__name__}")
-    return value
 
 
 def _map_text(f):

@@ -12,7 +12,7 @@ of membership among the morphisms of oriented simplexes.
 import re
 from operator import attrgetter
 
-from .errors import ArityError, ParseError, json_int
+from .errors import ArityError, ParseError, _checked, json_int
 from .simplex import MonotoneMap, _Frozen, degeneracy_generator, face_generator
 
 
@@ -32,6 +32,11 @@ def _sum_pairs(pairs):
     return out
 
 
+def _face(x, i):
+    """Face i of the value dict x: each tuple less entry i, summed in order."""
+    return _sum_pairs([(a[:i] + a[i + 1:], c) for a, c in x.items()])
+
+
 class _Combination:
     """A finite integer combination of keys of one shape; values are
     immutable.
@@ -44,9 +49,9 @@ class _Combination:
 
     A subclass names its two shape fields as its __slots__ and gets them as
     _shape, names its key class (built from a tuple and the second shape
-    field), checks an input term in _check_key, which returns its tuple, and
-    gives the brackets around a printed tuple and the wording of its shape
-    in errors.
+    field) and its wording in errors, checks an input term in _check_key,
+    which returns its tuple, and gives the brackets around a printed tuple
+    and the wording of its shape in errors.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -110,7 +115,9 @@ class _Combination:
         return not self._terms
 
     def coefficient(self, key):
-        return self.terms.get(key, 0)
+        """The coefficient of a key object; 0 for a key of another shape."""
+        key, second = _checked(key, self._key, self._key_text)._astuple()
+        return self._terms.get(key, 0) if second == self._shape[1] else 0
 
     def _check_shape(self, other):
         if self._shape != other._shape:
@@ -168,6 +175,7 @@ class ZMorphism(_Combination):
 
     __slots__ = ("domain", "codomain")
     _key = MonotoneMap
+    _key_text = "a monotone map"
     _shape = property(attrgetter("domain", "codomain"))
     _shape_text = "({} -> {})"
     _brackets = "()"
@@ -195,8 +203,7 @@ class ZMorphism(_Combination):
     @classmethod
     def generator(cls, f, coefficient=1):
         """The combination with the single term coefficient * f."""
-        if not isinstance(f, MonotoneMap):
-            raise ArityError(f"expected a monotone map, not {type(f).__name__}")
+        _checked(f, MonotoneMap, "a monotone map")
         if type(coefficient) is not int:
             raise ValueError(f"coefficients must be integers, got {coefficient!r}")
         return cls._make(f.domain, f.codomain, {f.values: coefficient} if coefficient else {})
@@ -234,9 +241,7 @@ class ZMorphism(_Combination):
         """The i-th face: composition with the injection omitting i."""
         if type(i) is not int or self.domain <= 0 or not 0 <= i <= self.domain:
             face_generator(i, self.domain)  # raises IndexError
-        return ZMorphism._summed(self.domain - 1, self.codomain, (
-            (a[:i] + a[i + 1:], c) for a, c in self._terms.items()
-        ))
+        return ZMorphism._make(self.domain - 1, self.codomain, _face(self._terms, i))
 
     def degeneracy(self, i):
         """The i-th degeneracy: composition with the surjection repeating i."""
@@ -372,8 +377,7 @@ def check_membership(x):
     and only on the basis elements on which some term of x is injective: the
     image of any other is zero and holds no witness.
     """
-    if not isinstance(x, ZMorphism):
-        raise ArityError(f"expected a combination of monotone maps, not {type(x).__name__}")
+    _checked(x, ZMorphism, "a combination of monotone maps")
     return _membership(x, _images(x))
 
 

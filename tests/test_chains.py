@@ -24,6 +24,17 @@ def chain(n, *terms):
     return Chain(dim, n, [(elt(v, n), c) for v, c in terms])
 
 
+def test_coefficient_reads_the_stored_terms_of_a_basis_element():
+    x = Chain(1, 2, [((0, 1), 3), ((1, 2), -1)])
+    assert x.coefficient(elt((0, 1), 2)) == 3 and x.coefficient(elt((1, 2), 2)) == -1
+    # Keys of another shape have coefficient 0.
+    assert x.coefficient(elt((0, 1), 3)) == 0
+    assert x.coefficient(elt((0,), 2)) == 0
+    with pytest.raises(ArityError) as err:
+        x.coefficient((0, 1))
+    assert str(err.value) == "expected a basis element, not tuple"
+
+
 def iterated_parts_oracle(b, k, sign):
     """Independent computation: omit k indices of alternating parity, the
     first omitted index odd for the negative part and even for the positive."""

@@ -436,6 +436,45 @@ REJECTIONS = (
 )
 
 
+def reference_validate(table):
+    """validate as Chain arithmetic: the shape check against a built basis,
+    the augmentation of each vertex image, then, in basis order, the image
+    of each boundary against the boundary of each image."""
+    basis_set_check_shapes(table)
+    m = table.m
+    degrees = {table.images[b].augmentation() for b in basis_elements(m, 0)}
+    if len(degrees) > 1:
+        raise PreconditionError(
+            "vertex images have inconsistent augmentation; not a chain map"
+        )
+    for b in basis_elements(m)[m + 1:]:
+        if reference_apply(table, Chain.of(b).boundary()) != table.images[b].boundary():
+            raise PreconditionError(f"table does not commute with the boundary at {b}")
+
+
+def test_validate_matches_the_chain_arithmetic_validate():
+    tables = [to_chain_map(x) for x in SCAN_SAMPLES]
+    tables += [_edited_table(edit) for edit, _ in INVALID_TABLES.values()]
+    tables += tampered_tables(2424, 150)
+    tables += [ChainMapTable(m, 0, {}) for m in (-1, True, 1.0)]
+    seen = set()
+    for table in tables:
+        expected = outcome(reference_validate, table)
+        assert outcome(table.validate) == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else None)
+        if expected[0] is PreconditionError:
+            seen.add(next(p for p in REJECTIONS if expected[1].startswith(p)))
+    assert seen == {None, PreconditionError, ValueError, *REJECTIONS}
+    # A wrong-shape image at the first key and a plain tuple for the last
+    # key: the key check wins, though a single pass meets the image first.
+    table = to_chain_map(parse_zmorphism("(0,1,2) - (1,1,2) + (1,2,2)", 2))
+    table.images[BasisElt((0,), 2)] = Chain.zero(1, 2)
+    table.images[(0, 1, 2)] = table.images.pop(BasisElt((0, 1, 2), 2))
+    assert outcome(table.validate) == outcome(reference_validate, table) == (
+        PreconditionError, "table must cover exactly the basis of the complex on 2"
+    )
+
+
 def test_tuple_solve_rejects_tables_as_the_chain_solve_does():
     tables = [_edited_table(edit) for edit, _ in INVALID_TABLES.values()]
     tables += tampered_tables(1313, 150)

@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from osimplex.chains import BasisElt, from_chain_map, iterated_boundary_part, to_chain_map
+from osimplex.chains import (
+    BasisElt,
+    apply_map,
+    from_chain_map,
+    iterated_boundary_part,
+    loopfree_less,
+    map_from_pair,
+    to_chain_map,
+)
 from osimplex.errors import ArityError, NotComposableError, PreconditionError
 from osimplex.nu import act, atom
 from osimplex.oriental import (
@@ -381,6 +389,15 @@ WRONG_TYPE_CALLS = {
     "from_chain_map of a combination": lambda: from_chain_map(gen((0, 1), 1)),
     "act by a non-combination": lambda: act("x", atom(BasisElt((0, 1), 1))),
     "act on a non-cell": lambda: act(gen((0, 1), 1), "c"),
+    "apply of a dict": lambda: to_chain_map(gen((0, 1), 1)).apply({}),
+    "apply of a combination": lambda: to_chain_map(gen((0, 1), 1)).apply(gen((0, 1), 1)),
+    "compose with a combination": lambda: to_chain_map(gen((0, 1), 1)).compose(gen((0, 1), 1)),
+    "apply_map of a tuple": lambda: apply_map((0, 1), BasisElt((0,), 1)),
+    "apply_map to a tuple": lambda: apply_map(MonotoneMap((0, 1), 1), (0,)),
+    "map_from_pair of tuples": lambda: map_from_pair((0,), (1,), 1),
+    "loopfree_less of tuples": lambda: loopfree_less((0, 1), (1,)),
+    "iterated_boundary_part of a tuple": lambda: iterated_boundary_part((0, 1), 1, "-"),
+    "atom of a tuple": lambda: atom((0, 1)),
 }
 
 

@@ -25,6 +25,17 @@ def zmorphisms(draw, max_m=4, max_n=4, m=None, n=None):
     return ZMorphism(m, n, items)
 
 
+def test_coefficient_reads_the_stored_terms_of_a_monotone_map():
+    x = parse_zmorphism("(0,1) - (1,1) + (1,2)", 2)
+    assert [x.coefficient(MonotoneMap(v, 2)) for v in ((0, 1), (1, 1), (1, 2))] == [1, -1, 1]
+    # Keys of another shape have coefficient 0.
+    assert x.coefficient(MonotoneMap((0, 1), 3)) == 0
+    assert x.coefficient(MonotoneMap((1,), 2)) == 0
+    with pytest.raises(ArityError) as err:
+        x.coefficient((0, 1))
+    assert str(err.value) == "expected a monotone map, not tuple"
+
+
 def test_group_operations():
     x = gen((0, 1), 2)
     assert (x + (-x)).is_zero()
