@@ -335,18 +335,25 @@ class ChainMapTable:
         Checks the key set, image shapes, commutation with the boundary and
         constancy of the augmentation on vertex images (the induced integer
         multiplier on the augmentation module).  A table that does not
-        commute is named by its first failing element in basis order.
+        commute is named by its first failing element in basis order; only
+        the nonzero rows and the cofaces they are pushed to can fail.
         """
         rows, m = self._rows(), self.m
         if len({sum(rows.get((v,), {}).values()) for v in range(m + 1)}) > 1:
             raise PreconditionError(
                 "vertex images have inconsistent augmentation; not a chain map"
             )
-        for q in range(2, m + 2):  # vertices have no boundary
-            for w in combinations(range(m + 1), q):
-                if _pushed(rows, _faces([(w, 1)])) != _sum_pairs(_faces(rows.get(w, {}).items())):
-                    b = BasisElt._make(w, m)
-                    raise PreconditionError(f"table does not commute with the boundary at {b}")
+        pushed = {v: [] for v in rows if len(v) > 1}  # vertices have no boundary
+        for v, row in rows.items():  # v is face j of v[:j] + (u,) + v[j:]
+            for j, (lo, hi) in enumerate(zip((-1, *v), (*v, m + 1))):
+                if hi - lo > 1:
+                    terms = [(e, -c if j & 1 else c) for e, c in row.items()]
+                    for u in range(lo + 1, hi):
+                        pushed.setdefault(v[:j] + (u,) + v[j:], []).extend(terms)
+        for w in sorted(sorted(pushed), key=len):
+            if _sum_pairs(pushed[w]) != _sum_pairs(_faces(rows.get(w, {}).items())):
+                b = BasisElt._make(w, m)
+                raise PreconditionError(f"table does not commute with the boundary at {b}")
 
     def compose(self, other):
         """The composite table self o other."""

@@ -238,10 +238,10 @@ def _atoms(elements):
         yield Cell._make(b.ambient, pairs)
 
 
-def _nonneg_preimages(delta, q):
+def _nonneg_preimages(delta, q, tables):
     """All nonnegative q-chains whose boundary equals delta, in basis order
     with coefficients ascending, by a search that keeps the residual
-    delta - boundary(picked).
+    delta - boundary(picked), on the face table that tables keeps by q.
 
     The first-vertex functional is positive on the boundary of every
     element, so the coefficients of any preimage weigh exactly delta's
@@ -257,24 +257,27 @@ def _nonneg_preimages(delta, q):
     budget = sum(c * v[0] for v, c in delta._terms.items())  # delta's weight
     if budget < 0:
         return []
-    basis = list(combinations(range(n + 1), q + 1))  # vertex tuples
-    index = {}  # face vertex tuple -> face number
-    rows = []  # per element: (face number, boundary sign) of each face
-    weights = []  # per element: the first-vertex functional on its boundary
-    for b in basis:
-        faces = list(_faces([(b, 1)]))
-        rows.append([(index.setdefault(face, len(index)), sign) for face, sign in faces])
-        weights.append(sum(sign * face[0] for face, sign in faces))
+    table = tables.get(q)
+    if table is None:
+        basis = list(combinations(range(n + 1), q + 1))  # vertex tuples
+        index = {}  # face vertex tuple -> face number
+        rows = []  # per element: (face number, boundary sign) of each face
+        weights = []  # per element: the first-vertex functional on its boundary
+        for b in basis:
+            faces = list(_faces([(b, 1)]))
+            rows.append([(index.setdefault(face, len(index)), sign) for face, sign in faces])
+            weights.append(sum(sign * face[0] for face, sign in faces))
+        settles = [[] for _ in basis]
+        for f, (k, sign) in {f: (k, s) for k, row in enumerate(rows) for f, s in row}.items():
+            settles[k].append((f, sign))
+        table = tables[q] = basis, index, rows, weights, settles
+    basis, index, rows, weights, settles = table
     residual = [0] * len(index)
     for v, c in delta._terms.items():
         f = index.get(v)
         if f is None:  # a face of no q-element
             return []
         residual[f] = c
-    last = {f: (k, sign) for k, row in enumerate(rows) for f, sign in row}
-    settles = [[] for _ in basis]
-    for f, (k, sign) in last.items():
-        settles[k].append((f, sign))
     picked = [0] * len(basis)
     out = []
 
@@ -337,8 +340,9 @@ def enumerate_cells(n, bound=3, max_cells=None):
             "pass a larger bound explicitly to proceed"
         )
     cells = set()
-    # The preimages of each difference chain, searched once per call.
-    preimages = {}
+    # The preimages of each difference chain and the face table of each
+    # dimension, built once per call.
+    preimages, tables = {}, {}
 
     def note(pairs):
         cells.add(Cell._make(n, pairs))
@@ -357,7 +361,7 @@ def enumerate_cells(n, bound=3, max_cells=None):
             return
         ups = preimages.get(delta)
         if ups is None:
-            ups = preimages[delta] = _nonneg_preimages(delta, q + 1)
+            ups = preimages[delta] = _nonneg_preimages(delta, q + 1, tables)
         for up_neg in ups:
             for up_pos in ups:
                 extend(pairs + [(up_neg, up_pos)], q + 1)

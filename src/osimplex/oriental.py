@@ -40,11 +40,12 @@ def _check_filler_pre(i, x, y):
 
 
 def _fused(i, x, y, up):
-    """The filler (up=1) or pasting (up=0) at i of the value dicts x and y as
-    unsummed pairs: the terms of x.degeneracy(i + 1), -x.face(i).degeneracy(i)
-    .degeneracy(i) and y.degeneracy(i), or of x, -x.face(i).degeneracy(i) and
-    y, each block a slice of its tuples.  Each block has distinct keys, so
-    their sum has the terms, in order, of those repeated additions."""
+    """The filler (up=1) or pasting (up=0) at i of the value dicts x and y:
+    x.degeneracy(i + 1) - x.face(i).degeneracy(i).degeneracy(i) + y.degeneracy(i),
+    or x - x.face(i).degeneracy(i) + y, each block a slice of its tuples.  Each
+    block has distinct keys, so a dict that starts as x's block and adds the
+    others in place, a zero sum dropped at once, has the terms, in order, of
+    those repeated additions."""
     face = _face(x, i)
     rest = face.copy()
     for a, c in y.items():
@@ -55,13 +56,23 @@ def _fused(i, x, y, up):
             f"face mismatch: face {i} of the left operand differs from "
             f"face {i + 1} of the right operand"
         )
-    if up:
-        return (
-            [(a[:i + 2] + a[i + 1:], c) for a, c in x.items()]
-            + [(a[:i + 1] + a[i:i + 1] + a[i:], -c) for a, c in face.items()]
-            + [(a[:i + 1] + a[i:], c) for a, c in y.items()]
-        )
-    return [*x.items(), *[(a[:i + 1] + a[i:], -c) for a, c in face.items()], *y.items()]
+    # a[i:i + up] repeats entry i once more in a filler's middle block.
+    out = {a[:i + 2] + a[i + 1:]: c for a, c in x.items()} if up else x.copy()
+    for a, c in face.items():
+        a = a[:i + 1] + a[i:i + up] + a[i:]
+        c = out.get(a, 0) - c
+        if c:
+            out[a] = c
+        else:
+            del out[a]
+    for a, c in y.items():
+        a = a[:i + up] + a[i:]
+        c += out.get(a, 0)
+        if c:
+            out[a] = c
+        else:
+            del out[a]
+    return out
 
 
 def filler(i, x, y):
@@ -70,15 +81,15 @@ def filler(i, x, y):
     Defined when face i of x equals face i+1 of y; morphisms of oriented
     simplexes are closed under it.
     """
-    pairs = _fused(i, *_check_filler_pre(i, x, y), 1)
-    return ZMorphism._summed(x.domain + 1, x.codomain, pairs)
+    terms = _fused(i, *_check_filler_pre(i, x, y), 1)
+    return ZMorphism._make(x.domain + 1, x.codomain, terms)
 
 
 def pasting(i, x, y):
     """The pasting of x and y at i, in the same dimension; it equals face i+1
     of the corresponding filler."""
-    pairs = _fused(i, *_check_filler_pre(i, x, y), 0)
-    return ZMorphism._summed(x.domain, x.codomain, pairs)
+    terms = _fused(i, *_check_filler_pre(i, x, y), 0)
+    return ZMorphism._make(x.domain, x.codomain, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +155,7 @@ def _alpha_beta(x, r, t, pivot):
             va = a
         alpha[ua] = alpha.get(ua, 0) + c
         beta[va] = beta.get(va, 0) + c
-    return tuple({a: c for a, c in d.items() if c} for d in (alpha, beta))
+    return {a: c for a, c in alpha.items() if c}, {a: c for a, c in beta.items() if c}
 
 
 def _split(x, r, t, pivot, terms_ok, describe):
@@ -336,7 +347,14 @@ class _Node(Expr):
         return type(self)(self.index, left, right)
 
     def _tokens(self):
-        return (")", self.right, ",", self.left, f"{self.symbol}_{self.index}(")
+        # A leaf child is printed into the strings beside it: fewer to pop.
+        tokens = [")"]
+        for kid, before in ((self.right, ","), (self.left, f"{self.symbol}_{self.index}(")):
+            if type(kid) is Leaf:
+                tokens[-1] = before + _map_text(kid.map) + tokens[-1]
+            else:
+                tokens += (kid, before)
+        return tokens
 
     def _json(self, left, right):
         return {"op": self.tag, "index": self.index, "left": left, "right": right}
@@ -524,6 +542,13 @@ def _cons(table, node):
     return table.setdefault(node._key(id), node)
 
 
+def _consed(table, cls, index, left, right):
+    """The node of table equal to cls(index, left, right), built only if
+    table lacks it; its key is the _key(id) that _cons reads."""
+    key = (cls.tag, index, id(left), id(right))
+    return table.get(key) or table.setdefault(key, cls(index, left, right))
+
+
 def _rewrite(expr, step, memo, table):
     """Rewrite expr bottom-up: step(node, memo, table) gives the result of
     each distinct node not in memo, which maps nodes by identity to their
@@ -576,7 +601,7 @@ def _eliminated(node, memo, table):
     """The step of eliminate_pastings: a pasting becomes a face of its filler."""
     node = node._rebuilt(memo)
     if isinstance(node, Pasting):
-        inner = _cons(table, Filler(node.index, node.left, node.right))
+        inner = _consed(table, Filler, node.index, node.left, node.right)
         node = ComposeMap(inner, face_generator(node.index + 1, _domain(inner)))
     return _cons(table, node)
 
@@ -664,14 +689,14 @@ def _factorize_new(x, state):
         below = _factorize_member(_face(current, m), state)
         tree = _append_to_leaves(below, t, appended.setdefault(t, {}), table)
     for r, factor, on_right in reversed(pastings):
-        tree = _cons(table, Pasting(r, tree, factor) if on_right else Pasting(r, factor, tree))
+        tree = _consed(table, Pasting, r, *((tree, factor) if on_right else (factor, tree)))
     return tree
 
 
 def _factorize_filler(r, v, state):
     """The filler node at r of the factorizations of the outer faces of v."""
     left = _factorize_member(_face(v, r + 2), state)
-    return _cons(state[3], Filler(r, left, _factorize_member(_face(v, r), state)))
+    return _consed(state[3], Filler, r, left, _factorize_member(_face(v, r), state))
 
 
 def _append_to_leaves(expr, t, memo, table):

@@ -34,7 +34,15 @@ def _sum_pairs(pairs):
 
 def _face(x, i):
     """Face i of the value dict x: each tuple less entry i, summed in order."""
-    return _sum_pairs([(a[:i] + a[i + 1:], c) for a, c in x.items()])
+    out = {}
+    for a, c in x.items():
+        a = a[:i] + a[i + 1:]
+        c += out.get(a, 0)
+        if c:
+            out[a] = c
+        else:
+            del out[a]
+    return out
 
 
 class _Combination:
@@ -247,9 +255,10 @@ class ZMorphism(_Combination):
         """The i-th degeneracy: composition with the surjection repeating i."""
         if type(i) is not int or not 0 <= i <= self.domain:
             degeneracy_generator(i, self.domain)  # raises IndexError
-        return ZMorphism._summed(self.domain + 1, self.codomain, (
-            (a[:i + 1] + a[i:], c) for a, c in self._terms.items()
-        ))
+        # Repeating entry i is injective on tuples, so no two terms meet.
+        return ZMorphism._make(self.domain + 1, self.codomain, {
+            a[:i + 1] + a[i:]: c for a, c in self._terms.items()
+        })
 
     def injective_part(self):
         """The restriction of the combination to its injective terms: a

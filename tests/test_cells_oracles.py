@@ -204,13 +204,14 @@ def test_nonneg_preimages_match_reference(n):
         for s, t in product(range(n + 1), repeat=2)
     ]
     seen = set()
+    tables = {}  # face tables, shared as within one enumerate_cells call
     while todo:
         delta, q = todo.pop()
         if delta.is_zero() or q >= n or (delta, q) in seen:
             continue
         seen.add((delta, q))
         want = reference_nonneg_preimages(delta, q + 1)
-        got = _nonneg_preimages(delta, q + 1)
+        got = _nonneg_preimages(delta, q + 1, tables)
         assert got == want
         assert [str(c) for c in got] == [str(c) for c in want]
         todo += [(pos - neg, q + 1) for neg, pos in product(want, repeat=2)]
@@ -228,7 +229,7 @@ def test_nonneg_preimages_match_reference_on_seeded_chains():
         faces = basis_elements(n, q - 1)
         delta = Chain(q - 1, n, [(rng.choice(faces), rng.randint(-2, 2)) for _ in range(rng.randint(0, 4))])
         want = reference_nonneg_preimages(delta, q)
-        assert _nonneg_preimages(delta, q) == want
+        assert _nonneg_preimages(delta, q, {}) == want
         found += bool(want)
     assert found >= 20
 

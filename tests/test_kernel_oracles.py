@@ -624,6 +624,26 @@ def test_fused_filler_and_pasting_match_repeated_arithmetic():
     assert cancelled >= 30
 
 
+def test_sums_keep_the_term_order_where_a_running_sum_passes_zero():
+    # In the pasting and the filler at 0, the face block cancels the first
+    # term of x's block, (1,1) or (1,1,1), and y's block brings it back,
+    # last; in face 1 of z, (0,1,2) cancels what (0,0,2) put at (0,2), and
+    # (0,2,2) brings it back.  A sum that adds y's block before the face
+    # block, or that keeps a zero sum in its place, puts that key first.
+    x = parse_zmorphism("(1,1) + (0,2)", 2)
+    y = parse_zmorphism("(2,2) + (1,1)", 2)
+    z = parse_zmorphism("(0,0,2) + (0,1,1) - (0,1,2) + (0,2,2)", 2)
+    face = ZMorphism.generator(face_generator(1, 2))
+    for fn, ref, args, order in (
+        (pasting, reference_pasting, (0, x, y), [(0, 2), (1, 1)]),
+        (filler, reference_filler, (0, x, y), [(0, 2, 2), (1, 1, 1)]),
+        (z.face, lambda i: reference_compose(z, face), (1,), [(0, 1), (0, 2)]),
+    ):
+        got = outcome(fn, *args)
+        assert got == outcome(ref, *args)
+        assert [f.values for f, _ in got[0][2]] == order
+
+
 def test_filler_and_pasting_reject_bad_operands_as_before():
     i, x, y = next((i, x, y) for i, x, y in FILLER_PAIRS if x.face(i).terms)
     m, n = x.domain, x.codomain
