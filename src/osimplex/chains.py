@@ -439,13 +439,16 @@ def from_chain_map(table):
     without disturbing the rows already matched: what a still needs is the
     table's row less the image of a under the terms found so far.  The solve
     runs on vertex and value tuples.  One zdelta._images scan of each new
-    term pushes its image to every tuple it reaches, one term at a time, so
-    that each image sums in term order, as the answer's term order requires.
+    term pushes its image to the tuples from 0, the only rows the solve
+    reads, one term at a time, so that each image sums in term order, as
+    the answer's term order requires.
 
-    Only the key set and image shapes are checked before solving.  The image
-    of any combination is a chain map, so validate() runs, to reject the
-    table with its message, only when the pushed images differ from the
-    table's nonzero rows, as a nonzero row where no term is injective does.
+    Only the key set and image shapes are checked before solving.  The solve
+    matches each row from 0 by construction, and one shared scan of the
+    answer over the other tuples checks the rest.  The image of any
+    combination is a chain map, so validate() runs, to reject the table
+    with its message, only when those images differ from the table's
+    nonzero rows, as a nonzero row where no term is injective does.
     """
     rows = _checked(table, ChainMapTable, "a chain-map table")._rows()
     m, n = table.m, table.n
@@ -463,9 +466,11 @@ def from_chain_map(table):
             for e, c in need.items():
                 # Each pair (a, b) gives a different map, so no term is hit twice.
                 acc[values := _pair_values(verts, e, m)] = c
-                for w, image in _images(ZMorphism._make(m, n, {values: c})):
+                for w, image in _images(ZMorphism._make(m, n, {values: c}), first=(0,)):
                     pushed.setdefault(w, []).extend(image.items())
-    if {w: image for w, terms in pushed.items() if (image := _sum_pairs(terms))} != rows:
+    x = ZMorphism._make(m, n, acc)
+    if ({w: image for w, image in _images(x, first=range(1, m + 1)) if image}
+            != {w: row for w, row in rows.items() if w[0]}):
         table.validate()
         raise AssertionError("chain-map inversion failed to reproduce the table")
-    return ZMorphism._make(m, n, acc)
+    return x

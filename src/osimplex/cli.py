@@ -146,14 +146,15 @@ def _cmd_compose(args):
 
 
 def _cmd_factor(args):
-    from .oriental import factorize
+    from .oriental import eval_expr, factorize
 
     x = _load_morphism(args.morphism, args.n)
     expr = factorize(x)
     payload = {"n": x.codomain, "expr": expr.to_json()}
     lines = [str(expr)]
     if args.verify:
-        # factorize evaluated expr with the checked kernels and compared it with x.
+        if eval_expr(expr) != x:
+            raise AssertionError("factorization failed to reproduce its input")
         payload["verified"] = True
         lines.append("verified: evaluation reproduces the input")
     _emit(args, payload, "\n".join(lines))
@@ -249,8 +250,8 @@ def build_parser():
     p.add_argument(
         "--verify",
         action="store_true",
-        help="report that the tree reproduces the input; factorize itself "
-        "evaluates the tree with the checked filler and pasting kernels",
+        help="evaluate the tree with the checked filler and pasting kernels "
+        "and check that it reproduces the input",
     )
 
     p = add("eval", _cmd_eval, "evaluate a filler/pasting expression")

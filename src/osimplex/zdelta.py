@@ -383,11 +383,13 @@ def check_membership(x):
     basis element by basis element in the order of enumerate_injective_into,
     and the first negative coefficient found is the witness.  The images come
     from the level-by-level scan of _images, built only as far as the witness
-    and only on the basis elements on which some term of x is injective: the
-    image of any other is zero and holds no witness.
+    and only on the basis elements on which some term of x with a negative
+    coefficient is injective: the image of any other is a sum of positive
+    coefficients and holds no witness.  A member with no negative
+    coefficient is a single term with coefficient 1, and is not scanned.
     """
     _checked(x, ZMorphism, "a combination of monotone maps")
-    return _membership(x, _images(x))
+    return _membership(x, _images(x, negative=True))
 
 
 def _membership(x, images):
@@ -420,7 +422,7 @@ def is_oriental_morphism(x):
     return check_membership(x).ok
 
 
-def _images(x):
+def _images(x, first=None, negative=False):
     """Yield (vertices, image under the chain map of x, as {vertex tuple:
     coefficient} summed in term order) for every basis element of the complex
     on the domain of x on which some term of x is injective, in basis order.
@@ -436,11 +438,17 @@ def _images(x):
     either: the scan's cost follows the tuples on which some term is
     injective, not the basis.  The kept tuples stay in basis order, and a
     row whose terms cancel is yielded as {}.
+
+    With first, a collection of vertices, only the tuples that start at one
+    of them are visited.  With negative, a tuple is kept only while a term
+    with a negative coefficient is live on it, and is still summed over all
+    its live terms; any other image, and those of its extensions, is
+    nonnegative.
     """
     m = x.domain
     level = []
-    if x._terms:
-        for v in range(m + 1):
+    if x._terms and not (negative and min(x._terms.values()) > 0):
+        for v in range(m + 1) if first is None else first:
             live = [((values[v],), c, values) for values, c in x._terms.items()]
             yield (v,), _sum_pairs([(image, c) for image, c, _ in live])
             level.append(((v,), live))
@@ -452,7 +460,7 @@ def _images(x):
                 # the new value exceeds its last one.
                 grown = [(image + (values[w],), c, values)
                          for image, c, values in live if values[w] > image[-1]]
-                if not grown:
+                if not grown or negative and min([c for _, c, _ in grown]) > 0:
                     continue
                 up = verts + (w,)
                 if len(grown) > 1:

@@ -82,6 +82,27 @@ def test_factor_and_verify(capsys):
     assert "verified" in lines[1]
 
 
+def test_factor_verify_exits_3_when_the_tree_misses_its_input(capsys, monkeypatch):
+    # factorize does not evaluate its output; --verify does.  Flip the side
+    # of the root's pasting, whose value is the input.
+    from osimplex import oriental
+
+    original = oriental._side
+    x = parse_zmorphism("(0,1,2,3)", 3)
+
+    def wrong(value, left, right):
+        side = original(value, left, right)
+        return (0 if side == 1 else 1) if value == x._terms else side
+
+    monkeypatch.setattr(oriental, "_side", wrong)
+    code, out, _ = run(capsys, "factor", "(0,1,2,3)", "--n", "3")
+    assert code == 0 and out
+    code, out, err = run(capsys, "factor", "(0,1,2,3)", "--n", "3", "--verify")
+    assert code == 3
+    assert out == ""
+    assert err == "error: AssertionError: factorization failed to reproduce its input\n"
+
+
 def test_factor_non_member(capsys):
     code, _, err = run(capsys, "factor", "2*(0,1) - (1,1)", "--n", "2")
     assert code == 3

@@ -160,7 +160,8 @@ def test_samples_cover_degenerate_terms_and_failures():
 
 
 def test_membership_matches_reference():
-    for x in MEMBERS + NEAR:
+    # Membership scans only the tuples on which a negative term is injective.
+    for x in SCAN_SAMPLES + DEGENERATE_NEGATIVE:
         assert check_membership(x) == reference_membership(x), str(x)
 
 
@@ -366,6 +367,78 @@ def test_level_scan_visits_only_the_tuples_with_an_injective_term():
     # The 10 vertices and the 5 * 5 edges from a 0 to a 1, of 1,023 basis elements.
     assert len(list(_images(x))) == 35
     assert check_membership(x).ok
+
+
+def degenerate_negative_members(seed, count):
+    """Members with a negative coefficient, each on a degenerate term: the
+    pasting (0,...,m) - (1,1,2,...,m) + (1,2,2,3,...,m) for m = 2..7, and
+    seeded members with negative terms."""
+    out = [parse_zmorphism(pasting_text(m), m + 1) for m in range(2, 8)]
+    rng = random.Random(seed)
+    while len(out) < count:
+        x = random_oriental(rng, rng.randint(2, 7), rng.randint(1, 6), max_domain=5)
+        if min(x._terms.values()) < 0:
+            out.append(x)
+    return out
+
+
+def pasting_text(m):
+    top = ",".join(map(str, range(2, m + 1)))
+    return f"({','.join(map(str, range(m + 1)))}) - (1,1,{top}) + (1,2,2{top[1:]})"
+
+
+DEGENERATE_NEGATIVE = degenerate_negative_members(1515, 30)
+
+
+def test_pruned_scans_yield_the_rows_they_keep_in_order():
+    # first keeps the tuples that start at one of its vertices; negative
+    # keeps those on which some term with a negative coefficient is
+    # injective.  Both keep each kept row as the full scan yields it.
+    for x in SCAN_SAMPLES + DEGENERATE_NEGATIVE:
+        full = ordered(_images(x))
+        m = x.domain
+        negatives = ZMorphism._make(m, x.codomain, {a: c for a, c in x._terms.items() if c < 0})
+        assert ordered(_images(x, first=(0,))) == [r for r in full if r[0][0] == 0]
+        assert ordered(_images(x, first=range(1, m + 1))) == [r for r in full if r[0][0]]
+        assert ordered(_images(x, negative=True)) == [
+            r for r in full if some_term_is_injective_on(negatives, r[0])
+        ], str(x)
+
+
+def test_pruned_membership_visits_only_tuples_with_a_negative_term():
+    for x in DEGENERATE_NEGATIVE:
+        assert all(not f.is_injective() for f, c in x.terms.items() if c < 0)
+        assert check_membership(x).ok
+    # A member with no negative coefficient is one term with coefficient 1.
+    x = ZMorphism.generator(MonotoneMap(tuple(range(19)), 18))
+    assert list(_images(x, negative=True)) == []
+    assert check_membership(x).ok
+    # The negative term (1,1,2,...,14) is injective on the tuples that do not
+    # hold both 0 and 1: 2^15 - 2^13 - 1 of them.
+    x = parse_zmorphism(pasting_text(14), 15)
+    assert sum(1 for _ in _images(x, negative=True)) == 24575
+    assert sum(1 for _ in _images(x)) == 32767
+    assert check_membership(x).ok
+
+
+def many_terms(seed, m, n, count):
+    """A combination of count distinct seeded maps with coefficients in
+    -3..3 other than 0."""
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < count:
+        terms.setdefault(random_map(rng, m, n), rng.choice((-3, -2, -1, 1, 2, 3)))
+    return ZMorphism(m, n, terms)
+
+
+@pytest.mark.parametrize("m, n, count", [(6, 6, 200), (8, 4, 400), (10, 10, 30)])
+def test_tuple_solve_keeps_the_term_order_on_many_terms(m, n, count):
+    x = many_terms(m * 100 + n, m, n, count)
+    table = to_chain_map(x)
+    got = outcome(from_chain_map, table)
+    assert got == outcome(chain_solve_from_chain_map, table)
+    assert got[0][2] != list(x.terms.items())  # the solve's order is its own
+    assert from_chain_map(table) == x
 
 
 def test_tuple_solve_matches_chain_solve_in_term_order():
