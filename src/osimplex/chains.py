@@ -8,6 +8,7 @@ verification that the prescribed bases are unital and strongly loop-free.
 """
 
 from itertools import combinations
+from math import comb
 from operator import attrgetter
 
 from .errors import ArityError, PreconditionError, _checked
@@ -67,18 +68,32 @@ class BasisElt(_Ordered):
         return "[" + ",".join(str(v) for v in self.vertices) + "]"
 
 
+_BASES = {}  # m -> _basis(m)
+
+
+def _basis(m):
+    """The BasisElt keys of the complex on {0,...,m} in basis order, as a tuple
+    built on first use and kept for the life of the process.  The bases of
+    distinct m sum to under twice the largest, and so does the cache."""
+    return _BASES.get(m) or _BASES.setdefault(m, tuple(
+        BasisElt._make(verts, m)
+        for q in range(m + 1) for verts in combinations(range(m + 1), q + 1)
+    ))
+
+
 def basis_elements(n, dimension=None):
-    """The basis elements of the complex on {0,...,n}, optionally of one dimension."""
+    """The basis elements of the complex on {0,...,n}, optionally of one
+    dimension, as a new list of the keys that _basis(n) shares."""
     if type(n) is not int or n < 0 or dimension is not None and (
         type(dimension) is not int or dimension < 0
     ):
         raise ValueError("n must be an integer and the dimension nonnegative")
-    dims = range(n + 1) if dimension is None else [dimension]
-    out = []
-    for q in dims:
-        for verts in combinations(range(n + 1), q + 1):
-            out.append(BasisElt._make(verts, n))
-    return out
+    if dimension is None:
+        return list(_basis(n))
+    if dimension > n:
+        return []
+    start = sum(comb(n + 1, k) for k in range(1, dimension + 1))
+    return list(_basis(n)[start:start + comb(n + 1, dimension + 1)])
 
 
 class Chain(_Combination):
@@ -292,7 +307,7 @@ class ChainMapTable:
 
     def image(self, b):
         """The image of b, which must be a chain of b's dimension in ambient n."""
-        if b not in self.images:
+        if _checked(b, BasisElt, "a basis element") not in self.images:
             raise ArityError(f"table has no image of {b}")
         image = self.images[b]
         if not isinstance(image, Chain) or image._shape != (b.dimension, self.n):
@@ -388,16 +403,18 @@ def to_chain_map(x):
     """The chain map induced by an integer combination of monotone maps, from
     the zdelta._images scan, listed over the whole basis in basis order.  A
     basis element the scan does not yield has image zero, as have most that
-    it does, and chains are immutable, so each dimension shares one zero."""
+    it does, and chains are immutable, so each dimension shares one zero.
+    The keys are _basis(m): a nonzero row replaces its zero in place."""
     _checked(x, ZMorphism, "a combination of monotone maps")
     m, n = x.domain, x.codomain
-    rows = dict(_images(x))
-    zeros = [Chain._make(q, n, {}) for q in range(m + 1)]
-    return ChainMapTable(m, n, (
-        (BasisElt._make(verts, m),
-         Chain._make(q, n, image) if (image := rows.get(verts)) else zeros[q])
-        for q in range(m + 1) for verts in combinations(range(m + 1), q + 1)
-    ))
+    zeros = []
+    for q in range(m + 1):
+        zeros += [Chain._make(q, n, {})] * comb(m + 1, q + 1)
+    table = ChainMapTable(m, n, zip(_basis(m), zeros))
+    for verts, image in _images(x):
+        if image:
+            table.images[BasisElt._make(verts, m)] = Chain._make(len(verts) - 1, n, image)
+    return table
 
 
 def _pair_values(av, bv, m):

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osimplex import chains
 from osimplex.chains import (
     BasisElt,
     Chain,
@@ -208,6 +213,17 @@ def test_apply_rejects_an_image_that_is_not_a_chain():
     assert str(err.value) == "image of [0,1] has the wrong shape"
 
 
+def test_image_rejects_a_key_that_is_not_a_basis_element():
+    table = to_chain_map(parse_zmorphism("(0,1) - (1,1) + (1,2)", 2))
+    for b in ([0], (0,), "[0]", None):
+        with pytest.raises(ArityError) as err:
+            table.image(b)
+        assert str(err.value) == f"expected a basis element, not {type(b).__name__}"
+    with pytest.raises(ArityError) as err:
+        table.image(BasisElt((0,), 2))
+    assert str(err.value) == "table has no image of [0]"
+
+
 def test_map_from_pair_bijection():
     # every monotone map is recovered from its associated basis pair
     import itertools
@@ -294,3 +310,70 @@ def test_table_json_export():
     blob = to_chain_map(x).to_json()
     assert blob["m"] == 1 and blob["n"] == 1
     assert blob["images"]["[0,1]"] == [{"basis": [0, 1], "coef": 1}]
+
+
+def test_tables_on_one_domain_share_their_keys_in_basis_order():
+    x = parse_zmorphism("(0,1,2) - (1,1,2) + (1,2,2)", 2)
+    y = ZMorphism.generator(MonotoneMap((0, 0, 0), 0))
+    t1, t2, t3 = to_chain_map(x), to_chain_map(y), to_chain_map(x)
+    assert list(t1.images) == list(t2.images) == basis_elements(2)
+    for t in (t2, t3):
+        assert all(a is b for a, b in zip(t1.images, t.images))
+    assert all(a is b for a, b in zip(t1.images, basis_elements(2)))
+
+
+def test_basis_elements_follow_the_combinations_definition():
+    for n in range(9):
+        by_dimension = [
+            [BasisElt(v, n) for v in combinations(range(n + 1), q + 1)] for q in range(n + 2)
+        ]
+        assert basis_elements(n) == [b for level in by_dimension for b in level]
+        for q, level in enumerate(by_dimension):
+            assert basis_elements(n, q) == level
+        assert by_dimension[n + 1] == [] == basis_elements(n, n + 7)
+
+
+def test_basis_elements_returns_a_new_list_each_call():
+    expected = [BasisElt(v, 3) for q in range(4) for v in combinations(range(4), q + 1)]
+    for dimension in (None, 1):
+        listed = basis_elements(3, dimension)
+        assert listed is not basis_elements(3, dimension)
+        listed.reverse()
+        listed.append(None)
+        del listed[0]
+    assert basis_elements(3) == expected
+    assert basis_elements(3, 1) == expected[4:10]
+    assert list(to_chain_map(ZMorphism.generator(identity(3))).images) == expected
+
+
+def test_editing_a_table_leaves_later_tables_unchanged():
+    x = parse_zmorphism("(0,1) - (1,1) + (1,2)", 2)
+    before = to_chain_map(x)
+    edited = to_chain_map(x)
+    edited.images[BasisElt((0, 1), 1)] = Chain.zero(1, 2)
+    edited.images[BasisElt((1,), 1)] = Chain(0, 2, [((0,), 5)])
+    del edited.images[BasisElt((0,), 1)]
+    later = to_chain_map(x)
+    assert later == before and list(later.images) == basis_elements(1)
+    assert later.image(BasisElt((0, 1), 1)) == Chain(1, 2, [((0, 1), 1), ((1, 2), 1)])
+
+
+def test_a_bad_size_raises_and_lists_no_basis():
+    cached = dict(chains._BASES)
+    for n, dimension in ((-1, None), (True, None), (2.0, None), ("2", None), (None, None),
+                         (2, -1), (2, True), (2, 1.0), (-3, 1)):
+        with pytest.raises(ValueError) as err:
+            basis_elements(n, dimension)
+        assert str(err.value) == "n must be an integer and the dimension nonnegative"
+    assert list(chains._BASES.items()) == list(cached.items())
+    assert all(chains._BASES[m] is basis for m, basis in cached.items())
+
+
+def test_no_basis_is_listed_at_import():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chains.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import osimplex.chains as c, osimplex.nu; print(c._BASES)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{}\n"
