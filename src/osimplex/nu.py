@@ -28,13 +28,14 @@ from .zdelta import ZMorphism, _images, _membership
 def violations(n, pairs):
     """The membership condition numbers violated by a raw double sequence.
 
-    Conditions: (1) each component is a chain of the level's dimension,
-    (2) finitely many nonzero levels (always true for list input),
-    (3) the difference at each level is the boundary of both chains one
-    level up, (4) all chains are nonnegative, (5) both bottom chains have
-    augmentation 1.  An empty result means the sequence is a cell.
+    Conditions: (1) n is an int and each component is a chain of the
+    level's dimension in ambient n, (2) finitely many nonzero levels (always
+    true for list input), (3) the difference at each level is the boundary
+    of both chains one level up, (4) all chains are nonnegative, (5) both
+    bottom chains have augmentation 1.  An empty result means the sequence
+    is a cell.
     """
-    broken = set()
+    broken = set() if type(n) is int else {1}
     pairs = list(pairs)
     for q, pair in enumerate(pairs):
         if len(pair) != 2 or not all(
@@ -310,6 +311,7 @@ def _nonneg_preimages(delta, q, tables):
         picked[k] = 0
 
     descend(0, budget)
+    del descend  # the closure refers to itself; drop it with the search
     return out
 
 
@@ -343,32 +345,29 @@ def enumerate_cells(n, bound=3, max_cells=None):
     # The preimages of each difference chain and the face table of each
     # dimension, built once per call.
     preimages, tables = {}, {}
-
-    def note(pairs):
-        cells.add(Cell._make(n, pairs))
-        if max_cells is not None and len(cells) > max_cells:
-            raise EnumerationLimitError(
-                f"enumeration produced more than {max_cells} cells"
-            )
-
-    def extend(pairs, q):
-        neg, pos = pairs[-1]
-        delta = pos - neg
-        if delta.is_zero():
-            note(pairs)
-            return
-        if q >= n:
-            return
-        ups = preimages.get(delta)
-        if ups is None:
-            ups = preimages[delta] = _nonneg_preimages(delta, q + 1, tables)
-        for up_neg in ups:
-            for up_pos in ups:
-                extend(pairs + [(up_neg, up_pos)], q + 1)
-
+    # A depth-first search: each stack entry holds the pairs chosen below a
+    # level and an iterator of that level's candidate pairs.
     vertices = [Chain(0, n, [((v,), 1)]) for v in range(n + 1)]
-    for bottom in product(vertices, repeat=2):
-        extend([bottom], 0)
+    stack = [([], product(vertices, repeat=2))]
+    while stack:
+        below, candidates = stack[-1]
+        pair = next(candidates, None)
+        if pair is None:
+            stack.pop()
+            continue
+        pairs, q = below + [pair], len(below)
+        delta = pair[1] - pair[0]
+        if delta.is_zero():
+            cells.add(Cell._make(n, pairs))
+            if max_cells is not None and len(cells) > max_cells:
+                raise EnumerationLimitError(
+                    f"enumeration produced more than {max_cells} cells"
+                )
+        elif q < n:
+            ups = preimages.get(delta)
+            if ups is None:
+                ups = preimages[delta] = _nonneg_preimages(delta, q + 1, tables)
+            stack.append((pairs, product(ups, repeat=2)))
     return cells
 
 
@@ -381,36 +380,29 @@ def check_atom_generation(n, bound=3):
 
 def _atom_closure(n):
     """The closure of the atoms over {0,...,n} under identities and
-    composition, by semi-naive rounds: each round pairs only the cells new in
-    the round before with the cells generated so far, in both orders, found
-    through their level-p sources and targets.  A cell is filed only at the
-    levels up to its dimension: there its identities have dimension p, and
-    above it they are the cell itself, so a pair that meets at a level above
-    either dimension is a cell with itself, which composes to that cell."""
-    generated = set()
+    composition, by one worklist.  A cell taken from it is filed under its
+    level-p source and target at each p up to its dimension, and composed,
+    in both orders, with every cell filed before it that meets it there, and
+    with itself; each cell not seen before joins the worklist.  Above a
+    cell's dimension its identities are the cell itself, so a pair that
+    meets at a level above either dimension is a cell with itself, which
+    composes to that cell."""
+    generated = set(_atoms(basis_elements(n)))
+    work = list(generated)
     by_source = {}  # (p, source at p) -> cells
     by_target = {}  # (p, target at p) -> cells
-    frontier = set(_atoms(basis_elements(n)))
-    while frontier:
-        generated |= frontier
-        ends = {x: [(x.source(p), x.target(p)) for p in range(x.dimension + 1)]
-                for x in frontier}
-        for x, levels in ends.items():
-            for p, (s, t) in enumerate(levels):
-                by_source.setdefault((p, s), []).append(x)
-                by_target.setdefault((p, t), []).append(x)
-        fresh = set()
-        for x, levels in ends.items():
-            for p, (s, t) in enumerate(levels):
-                fresh.add(s)
-                fresh.add(t)
-                for y in by_source.get((p, t), ()):
-                    fresh.add(x.compose(y, p))
-                # Pairs within the frontier were made above with x on the left.
-                for y in by_target.get((p, s), ()):
-                    if y not in frontier:
-                        fresh.add(y.compose(x, p))
-        frontier = fresh - generated
+    while work:
+        x = work.pop()
+        for p in range(x.dimension + 1):
+            s, t = x.source(p), x.target(p)
+            made = [s, t] + [y.compose(x, p) for y in by_target.get((p, s), ())]
+            by_source.setdefault((p, s), []).append(x)
+            made += [x.compose(y, p) for y in by_source.get((p, t), ())]
+            by_target.setdefault((p, t), []).append(x)
+            for z in made:
+                if z not in generated:
+                    generated.add(z)
+                    work.append(z)
     return generated
 
 

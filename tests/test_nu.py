@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import pickle
@@ -24,6 +25,7 @@ from osimplex.errors import (
 )
 from osimplex.nu import (
     Cell,
+    _nonneg_preimages,
     act,
     atom,
     check_atom_generation,
@@ -207,6 +209,41 @@ def test_bound_is_checked_before_the_search(monkeypatch, bound):
 def test_sizes_that_are_negative_or_not_int_are_rejected(entry, n):
     with pytest.raises(ValueError, match="n must be an integer and the dimension nonnegative"):
         entry(n)
+
+
+@pytest.mark.parametrize("ambient", [True, 1.0, "1"])
+@pytest.mark.parametrize("build", [Cell, Cell.from_pairs], ids=["Cell", "from_pairs"])
+def test_a_cell_ambient_that_is_not_an_int_breaks_condition_1(build, ambient):
+    """1 == True == 1.0, so the chains' ambient check alone would pass these."""
+    pairs = [(vertex(0, 1), vertex(1, 1)), (edge(0, 1, 1), edge(0, 1, 1))]
+    assert violations(1, pairs) == []
+    assert violations(ambient, pairs) == [1]
+    with pytest.raises(CellConditionError) as info:
+        build(ambient, pairs)
+    assert info.value.violated == [1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_cells(4, bound=4),
+        lambda: check_atom_generation(4, bound=4),
+        lambda: _nonneg_preimages(Chain(0, 3, [((3,), 1), ((0,), -1)]), 1, {}),
+    ],
+    ids=["enumerate_cells", "check_atom_generation", "_nonneg_preimages"],
+)
+def test_no_search_state_outlives_a_cells_call(call):
+    """A cells call leaves nothing for the cycle collector: its search state
+    is freed by reference counting when the call returns."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_zero_one_coefficients_observed():
