@@ -43,14 +43,6 @@ class BasisElt(_Ordered):
         if not 0 <= self.vertices[0] or prev > self.ambient:
             raise ValueError(f"vertices {self.vertices} exceed ambient {self.ambient}")
 
-    @classmethod
-    def _make(cls, vertices, ambient):
-        """A basis element from a vertex tuple already known to be valid; no checks."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "vertices", vertices)
-        object.__setattr__(b, "ambient", ambient)
-        return b
-
     # Written out like MonotoneMap's: basis elements key the chain-map tables.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -326,8 +318,9 @@ class ChainMapTable:
         the counted keys (2^(m+1) - 1 distinct basis elements on m are all of
         them) that reports a wrong key anywhere before a wrong image shape."""
         m, n = self.m, self.n
-        if type(m) is not int or m < 0:
-            basis_elements(m)  # raises ValueError
+        for k in (m, n):
+            if type(k) is not int or k < 0:
+                basis_elements(k)  # raises ValueError
         cover = PreconditionError(f"table must cover exactly the basis of the complex on {m}")
         if len(self.images) != 2 ** (m + 1) - 1:
             raise cover

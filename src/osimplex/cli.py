@@ -17,7 +17,6 @@ import sys
 from .errors import (
     ArityError,
     EnumerationLimitError,
-    OsimplexError,
     ParseError,
     PreconditionError,
     json_int,
@@ -297,9 +296,6 @@ def main(argv=None):
         return 4
     except (PreconditionError, ArityError, IndexError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
-    except OsimplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program: one line, no traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .errors import (
     _checked,
     json_int,
 )
+from .simplex import _Frozen
 from .zdelta import ZMorphism, _images, _membership
 
 
@@ -44,8 +45,7 @@ def violations(n, pairs):
             broken.add(1)
     if broken:
         return sorted(broken)
-    while pairs and pairs[-1][0].is_zero() and pairs[-1][1].is_zero():
-        pairs.pop()
+    pairs = Cell._make(n, pairs).pairs  # less its zero top levels
     if not pairs:
         broken.add(5)
         return sorted(broken)
@@ -82,10 +82,11 @@ def _identity_levels(pairs, p, side):
     return pairs[:p] + ((glue, glue),)
 
 
-class Cell:
+class Cell(_Frozen):
     """A validated double sequence in canonical (trailing-zero-free) form."""
 
     __slots__ = ("ambient", "pairs", "_hash")
+    _fields = ("ambient", "pairs")
 
     def __new__(cls, ambient, pairs):
         pairs = [tuple(p) for p in pairs]
@@ -106,13 +107,6 @@ class Cell:
         object.__setattr__(x, "pairs", tuple(pairs))
         object.__setattr__(x, "_hash", None)
         return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cell values are immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild the cell through the validating __new__.
-        return Cell, (self.ambient, self.pairs)
 
     @classmethod
     def from_pairs(cls, ambient, pairs):

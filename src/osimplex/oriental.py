@@ -18,7 +18,7 @@ from .errors import (
     _checked,
     json_int,
 )
-from .simplex import MonotoneMap, face_generator
+from .simplex import MonotoneMap, _read_tuple, face_generator
 from .zdelta import ZMorphism, _face, _sum_pairs
 # Exported here too; factorize calls check_membership through this global.
 from .zdelta import MembershipResult, check_membership, is_oriental_morphism
@@ -327,6 +327,8 @@ class _Node(Expr):
     labels = ("left", "right")
 
     def __init__(self, index, left, right):
+        if type(index) is not int:
+            raise ArityError(f"expected an integer node index, not {type(index).__name__}")
         self.index = index
         self.left = _checked(left, Expr, "an expression tree")
         self.right = _checked(right, Expr, "an expression tree")
@@ -462,7 +464,7 @@ def parse_expr(text, n):
             if text[pos + 1:pos + 2] != "_":
                 raise ParseError("expected '_' after node tag", pos + 1)
             start = pos = pos + 2
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             if start == pos:
                 raise ParseError("expected a node index", pos)
@@ -512,23 +514,17 @@ def _expect(text, pos, token):
 
 
 def _parse_leaf(text, pos, n):
-    pos = _expect(text, pos, "(")
-    start = pos
-    depth = 1
-    while pos < len(text) and depth:
-        if text[pos] == "(":
-            depth += 1
-        elif text[pos] == ")":
-            depth -= 1
-        pos += 1
-    if depth:
-        raise ParseError("unbalanced parentheses in leaf", start)
-    body = text[start:pos - 1]
+    pos = _skip_ws(text, pos)
+    read = _read_tuple(text, pos)
+    if read is None:
+        _expect(text, pos, "(")  # raises when no "(" opens the leaf
+        raise ParseError(f"bad leaf {text[pos:pos + 12]!r}: expected (v0,...,vk) "
+                         "in ASCII digits", pos + 1)
+    values, end = read
     try:
-        values = tuple(int(v.strip()) for v in body.split(","))
-        return Leaf(MonotoneMap(values, n)), pos
+        return Leaf(MonotoneMap(values, n)), end
     except ValueError as exc:
-        raise ParseError(f"bad leaf {body!r}: {exc}", start) from exc
+        raise ParseError(f"bad leaf {text[pos + 1:end - 1]!r}: {exc}", pos + 1) from exc
 
 
 # ---------------------------------------------------------------------------

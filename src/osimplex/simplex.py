@@ -13,13 +13,18 @@ from operator import ge, gt, le, lt
 from .errors import ArityError, ParseError
 
 
+_set = object.__setattr__
+
+
 class _Frozen:
     """Base of the immutable value classes, which behave like frozen
     dataclasses without importing `dataclasses`: __init__ stores the fields
     named in `_fields` without calling __setattr__, instances of one class
-    compare and hash as the tuple of those fields, and assignment and
-    deletion raise AttributeError."""
+    compare and hash as the tuple of those fields, assignment and deletion
+    raise AttributeError, and pickle and copy rebuild a value from its
+    fields through its checking constructor."""
 
+    __slots__ = ()
     _fields = ()
 
     def _astuple(self):
@@ -34,10 +39,13 @@ class _Frozen:
         return hash(self._astuple())
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"{type(self).__name__} values are immutable")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -54,9 +62,19 @@ def _compare(op):
 
 
 class _Ordered(_Frozen):
-    """A _Frozen value ordered by its field tuple."""
+    """A _Frozen value of two fields, ordered by its field tuple."""
 
+    __slots__ = ()
     __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
+
+    @classmethod
+    def _make(cls, first, second):
+        """A value from fields already known to be valid; no checks."""
+        x = object.__new__(cls)
+        name, other = cls._fields
+        _set(x, name, first)
+        _set(x, other, second)
+        return x
 
 
 class MonotoneMap(_Ordered):
@@ -87,14 +105,6 @@ class MonotoneMap(_Ordered):
             prev = v
         if prev > self.codomain:
             raise ValueError(f"value {prev} exceeds codomain {self.codomain}")
-
-    @classmethod
-    def _make(cls, values, codomain):
-        """A map from a values tuple already known to be valid; no checks."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "codomain", codomain)
-        return f
 
     # Maps are dictionary keys on the hot paths, so these two are written
     # out rather than built on _astuple.
@@ -173,16 +183,26 @@ def enumerate_injective_into(m):
     return out
 
 
-_MAP_RE = re.compile(r"^\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*:\s*(\d+)\s*$")
+# An integer tuple "(v0,...,vk)" in ASCII digits: the values of a map, a
+# term of a combination or a leaf of an expression.
+_TUPLE_RE = re.compile(r"\(\s*(-?[0-9]+(?:\s*,\s*-?[0-9]+)*)\s*\)")
+
+
+def _read_tuple(text, pos):
+    """The integer tuple that starts at text[pos] and the position after it,
+    or None if no tuple starts there."""
+    match = _TUPLE_RE.match(text, pos)
+    return match and (tuple(int(v) for v in match.group(1).split(",")), match.end())
 
 
 def parse_map(text):
     """Parse the rendering "(f0,f1,...,fm):n" back into a MonotoneMap."""
-    match = _MAP_RE.match(text)
-    if match is None:
+    body, _, n = text.partition(":")
+    body, n = body.strip(), n.strip()
+    read = _read_tuple(body, 0)
+    if read is None or read[1] != len(body) or not (n.isascii() and n.isdigit()):
         raise ParseError(f"not a monotone map: {text!r}")
-    values = tuple(int(v) for v in match.group(1).split(","))
     try:
-        return MonotoneMap(values, int(match.group(2)))
+        return MonotoneMap(read[0], int(n))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

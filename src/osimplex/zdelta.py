@@ -13,10 +13,7 @@ import re
 from operator import attrgetter
 
 from .errors import ArityError, ParseError, _checked, json_int
-from .simplex import MonotoneMap, _Frozen, degeneracy_generator, face_generator
-
-
-_set = object.__setattr__
+from .simplex import MonotoneMap, _Frozen, _read_tuple, _set, degeneracy_generator, face_generator
 
 
 def _sum_pairs(pairs):
@@ -45,7 +42,7 @@ def _face(x, i):
     return out
 
 
-class _Combination:
+class _Combination(_Frozen):
     """A finite integer combination of keys of one shape; values are
     immutable.
 
@@ -108,11 +105,8 @@ class _Combination:
         make, second = self._key._make, self._shape[1]
         return {make(key, second): c for key, c in self._terms.items()}
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} values are immutable")
-
     def __reduce__(self):
-        # pickle and copy rebuild the value through the checking constructor.
+        # The terms are not a field, so _Frozen.__reduce__ would drop them.
         return type(self), (*self._shape, list(self._terms.items()))
 
     @classmethod
@@ -293,9 +287,7 @@ class ZMorphism(_Combination):
             raise ParseError(f"bad combination object: {exc}") from exc
 
 
-_TERM_RE = re.compile(
-    r"\s*(?:(?P<coef>\d+)\s*\*\s*)?\(\s*(?P<vals>-?\d+(?:\s*,\s*-?\d+)*)\s*\)"
-)
+_COEF_RE = re.compile(r"([0-9]+)\s*\*\s*")
 
 
 def parse_zmorphism(text, codomain, domain=None):
@@ -331,18 +323,18 @@ def parse_zmorphism(text, codomain, domain=None):
         if ch == "-":
             sign, pos = -sign, pos + 1
             continue
-        match = _TERM_RE.match(text, pos)
-        if match is None:
+        coef = _COEF_RE.match(text, pos)
+        read = _read_tuple(text, coef.end() if coef else pos)
+        if read is None:
             raise ParseError(f"expected a term, found {text[pos:pos + 12]!r}", pos)
-        coef = int(match.group("coef")) if match.group("coef") else 1
-        values = tuple(int(v) for v in match.group("vals").split(","))
+        values, end = read
         try:
             f = MonotoneMap(values, codomain)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from exc
-        items.append((f, sign * coef))
+        items.append((f, sign * (int(coef.group(1)) if coef else 1)))
         sign, expect_term = 1, False
-        pos = match.end()
+        pos = end
     if expect_term:
         raise ParseError("dangling sign at end of input", len(text) - 1)
     inferred = items[0][0].domain

@@ -144,6 +144,20 @@ def test_from_chain_map_rejects_invalid_tables_as_validate_does(case):
     assert str(got.value).startswith(message)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1])
+def test_a_table_with_a_bad_codomain_is_rejected_as_one_with_a_bad_domain(bad):
+    # The one image would be a chain in the complex on 1, so the codomain
+    # is the only fault.
+    images = {BasisElt((0,), 0): Chain(0, 1, [((0,), 1)])}
+    for m, n in ((bad, 1), (0, bad)):
+        table = ChainMapTable(m, n, images)
+        for check in (table.validate, lambda: from_chain_map(table)):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "n must be an integer and the dimension nonnegative"
+
+
 def test_a_non_commuting_table_is_named_by_its_first_element_in_basis_order():
     table = to_chain_map(ZMorphism.generator(identity(3)))
     for b in basis_elements(3, 1):

@@ -5,6 +5,7 @@ import pytest
 
 from osimplex import cli
 from osimplex.cli import main
+from osimplex.errors import NotComposableError
 from osimplex.zdelta import parse_zmorphism
 
 from conftest import random_oriental
@@ -383,6 +384,46 @@ def test_unexpected_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: RuntimeError: boom\n"
+
+
+def test_a_library_error_with_no_handler_of_its_own_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise NotComposableError("faces differ")
+
+    monkeypatch.setattr(cli, "_cmd_eval", broken)
+    code, out, err = run(capsys, "eval", "(0,1)", "--n", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: NotComposableError: faces differ\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "F_²((0,1),(1,2))"),
+    ("eval", "P_١((0,1),(1,2))"),
+    ("eval", "(0,1_0)"),
+    ("eval", "( +0,1)"),
+    ("eval", "P_0((0,²),(1,2))"),
+    ("check", "(0,١) - (1,1) + (1,2)"),
+    ("check", "(0,1_0)"),
+    ("check", "(+0,1)"),
+    ("check", "²*(0,1)"),
+])
+def test_integers_in_text_that_are_not_ascii_digits_exit_2(capsys, argv):
+    _assert_parse_exit(*run(capsys, *argv, "--n", "10"))
+
+
+def test_eval_negative_node_index_exits_3(capsys):
+    blob = json.dumps({
+        "n": 2,
+        "expr": {
+            "op": "pasting",
+            "index": -1,
+            "left": {"op": "map", "values": [0, 1]},
+            "right": {"op": "map", "values": [1, 2]},
+        },
+    })
+    code, out, err = run(capsys, "eval", blob)
+    assert (code, out) == (3, "")
+    assert err == "precondition failed: index -1 out of range for domain 1 (node root)\n"
 
 
 def test_interrupts_are_not_caught(monkeypatch):

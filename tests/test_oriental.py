@@ -11,7 +11,12 @@ from osimplex.chains import (
     map_from_pair,
     to_chain_map,
 )
-from osimplex.errors import ArityError, NotComposableError, PreconditionError
+from osimplex.errors import (
+    ArityError,
+    InvalidExpressionError,
+    NotComposableError,
+    PreconditionError,
+)
 from osimplex.nu import act, atom
 from osimplex.oriental import (
     ComposeMap,
@@ -426,6 +431,15 @@ WRONG_TYPE_PARTS = {
     "ZMorphism.generator of a tuple": (
         lambda: ZMorphism.generator((0, 1)), "a monotone map, not tuple"
     ),
+    # str() of such a node would print an index that reads back as another
+    # tree, or not at all.
+    "Pasting with a string index": (
+        lambda: Pasting("0", LEAF, LEAF), "an integer node index, not str"
+    ),
+    "Filler with a bool index": (lambda: Filler(True, LEAF, LEAF), "an integer node index, not bool"),
+    "Pasting with a float index": (
+        lambda: Pasting(0.0, LEAF, LEAF), "an integer node index, not float"
+    ),
 }
 
 
@@ -435,3 +449,13 @@ def test_expression_parts_of_the_wrong_type_raise_arity_error(name):
     with pytest.raises(ArityError) as info:
         call()
     assert str(info.value) == "expected " + message
+
+
+def test_a_negative_node_index_is_reported_by_evaluate_with_its_path():
+    left, right = Leaf(MonotoneMap((0, 1), 2)), Leaf(MonotoneMap((1, 2), 2))
+    for cls in (Filler, Pasting):
+        tree = Pasting(0, cls(-1, left, right), right)
+        assert str(tree) == f"P_0({cls.symbol}_-1((0,1),(1,2)),(1,2))"
+        with pytest.raises(InvalidExpressionError, match="index -1 out of range") as info:
+            eval_expr(tree)
+        assert info.value.path == ("left",)
